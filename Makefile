@@ -35,6 +35,17 @@ check:
 	@cmp /tmp/bgpsim-check-f1.txt /tmp/bgpsim-check-f4.txt || \
 		{ echo "check: paper -exp faults differs between -j 1 and -j 4 -shards 4"; exit 1; }
 	@rm -f /tmp/bgpsim-check-f1.txt /tmp/bgpsim-check-f4.txt
+	@# Trace smoke: the -events dump is fed from the probe stream and a
+	@# sharded run merges it by the one merge rule, so it must print
+	@# byte-identical output at any shard count — restart marks and an
+	@# overflowing buffer included.
+	$(GO) run ./cmd/bgpsim -ranks 64 -bench alltoall -bytes 2048 -fidelity analytic -events 5000 \
+		-faults recover,log=sender,restart=ckpt,kill=3@2us -shards 1 > /tmp/bgpsim-check-ev1.txt
+	$(GO) run ./cmd/bgpsim -ranks 64 -bench alltoall -bytes 2048 -fidelity analytic -events 5000 \
+		-faults recover,log=sender,restart=ckpt,kill=3@2us -shards 4 > /tmp/bgpsim-check-ev4.txt
+	@cmp /tmp/bgpsim-check-ev1.txt /tmp/bgpsim-check-ev4.txt || \
+		{ echo "check: bgpsim -events differs between -shards 1 and -shards 4"; exit 1; }
+	@rm -f /tmp/bgpsim-check-ev1.txt /tmp/bgpsim-check-ev4.txt
 	$(GO) run ./cmd/paper -exp colltune > /dev/null
 	$(GO) run ./cmd/paper -exp profile > /dev/null
 	$(GO) run ./cmd/halo -gx 4 -gy 2 -profile -trace /tmp/bgpsim-check-trace.json > /dev/null
@@ -132,7 +143,7 @@ examples:
 # observability contracts lean on (fault injection, the MPI layer, the
 # probes) must not silently lose their tests. Floors sit ~5 points
 # below measured coverage; raise them as the suites grow.
-COVER_FLOORS = bgpsim/internal/fault:86 bgpsim/internal/mpi:83 bgpsim/internal/obs:65 bgpsim/internal/alloc:89 bgpsim/internal/facility:85 bgpsim/internal/jobspec:70 bgpsim/internal/server:70 bgpsim/internal/calib:80 bgpsim/internal/stats:80
+COVER_FLOORS = bgpsim/internal/fault:86 bgpsim/internal/mpi:83 bgpsim/internal/obs:65 bgpsim/internal/trace:93 bgpsim/internal/alloc:89 bgpsim/internal/facility:85 bgpsim/internal/jobspec:70 bgpsim/internal/server:70 bgpsim/internal/calib:80 bgpsim/internal/stats:80
 
 cover:
 	@$(GO) test -cover ./... | awk -v floors="$(COVER_FLOORS)" ' \

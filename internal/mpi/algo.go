@@ -7,7 +7,6 @@ import (
 
 	"bgpsim/internal/machine"
 	"bgpsim/internal/sim"
-	"bgpsim/internal/trace"
 )
 
 // The collective layer is a dispatch registry: every collective body
@@ -193,7 +192,7 @@ func (w *World) selectColl(op opID, world bool, procs int, a CollArgs) *CollAlgo
 
 // runColl is the single dispatch point for every collective: it draws
 // the collective's matching key, selects the algorithm, records the
-// trace and traffic accounting, and runs the hardware offload, the
+// probe span and traffic accounting, and runs the hardware offload, the
 // closed-form analytic model, or the software algorithm.
 func (c *Comm) runColl(r *Rank, op opID, a CollArgs) {
 	if c.w.recovery {
@@ -202,9 +201,6 @@ func (c *Comm) runColl(r *Rank, op opID, a CollArgs) {
 	}
 	key := c.nextKey(r, collOpNames[op])
 	al := c.w.selectColl(op, c.isWorld, c.Size(), a)
-	if r.tb != nil {
-		collTrace(r.tb, r, trace.CollEnter, key, al.full)
-	}
 	if r.pb != nil {
 		probeColl(r, key, al.full, true)
 	}
@@ -222,27 +218,16 @@ func (c *Comm) runColl(r *Rank, op opID, a CollArgs) {
 		al.Run(c, r, key, a)
 		r.collAlgo = prev
 	}
-	if r.tb != nil {
-		collTrace(r.tb, r, trace.CollExit, key, al.full)
-	}
 	if r.pb != nil {
 		probeColl(r, key, al.full, false)
 	}
 }
 
-// collTrace records one collective trace event. Kept out of runColl
-// so the Event temporaries don't widen the frame of every collective
-// call (runColl sits on the stack of each rank's deepest path; a fat
-// frame there grows the stack of every fresh rank goroutine).
-//
-//go:noinline
-func collTrace(tb *trace.Buffer, r *Rank, kind trace.Kind, key, algo string) {
-	tb.Record(trace.Event{T: r.proc.Now(), Rank: r.id, Kind: kind,
-		Peer: -1, Label: key, Algo: algo})
-}
-
-// probeColl mirrors collTrace for the probe stream: same out-of-line
-// stack discipline, one helper for both edges of the span.
+// probeColl records one edge of a collective span. Kept out of runColl
+// so the interface-call spill slots don't widen the frame of every
+// collective call (runColl sits on the stack of each rank's deepest
+// path; a fat frame there grows the stack of every fresh rank
+// goroutine).
 //
 //go:noinline
 func probeColl(r *Rank, key, algo string, enter bool) {

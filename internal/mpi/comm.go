@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"bgpsim/internal/sim"
-	"bgpsim/internal/trace"
 )
 
 // Comm is a communicator: an ordered set of world ranks. The world
@@ -226,18 +225,10 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 		}
 		return release, comms
 	}
-	if tb := r.tb; tb != nil {
-		tb.Record(trace.Event{T: r.proc.Now(), Rank: r.id, Kind: trace.CollEnter,
-			Peer: -1, Label: gk})
-	}
 	if r.pb != nil {
 		probeColl(r, gk, "split", true)
 	}
 	res := c.sync(r, gk, ck{color, key, r.id}, fin)
-	if tb := r.tb; tb != nil {
-		tb.Record(trace.Event{T: r.proc.Now(), Rank: r.id, Kind: trace.CollExit,
-			Peer: -1, Label: gk})
-	}
 	if r.pb != nil {
 		probeColl(r, gk, "split", false)
 	}

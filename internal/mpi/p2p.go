@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bgpsim/internal/sim"
-	"bgpsim/internal/trace"
 )
 
 // message is an in-flight transfer. For eager sends it represents the
@@ -96,10 +95,6 @@ func (r *Rank) isendFrac(dst, bytes, tag int, collKey string, payload interface{
 		panic(fmt.Sprintf("mpi: negative send size %d", bytes))
 	}
 	r.proc.Sleep(sim.Duration(float64(r.swOverhead()) * overheadFrac)) // sender-side software cost
-	if tb := r.tb; tb != nil {
-		tb.Record(trace.Event{T: r.proc.Now(), Rank: r.id, Kind: trace.Send,
-			Peer: dst, Bytes: bytes, Tag: tag})
-	}
 	if collKey != "" && r.collAlgo != "" {
 		// Per-algorithm traffic attribution: one logical message with
 		// its full payload, regardless of eager/rendezvous split.
@@ -180,9 +175,8 @@ func (r *Rank) irecv(src, tag int, collKey string) *Request {
 		r.applyFloor()
 	}
 	req := &Request{r: r, isRecv: true, src: src, dst: -1, tag: tag, collKey: collKey}
-	if tb := r.tb; tb != nil {
-		tb.Record(trace.Event{T: r.proc.Now(), Rank: r.id, Kind: trace.RecvPost,
-			Peer: src, Tag: tag})
+	if r.pb != nil {
+		probeRecvPost(r, src, tag)
 	}
 	// Try the inbox first (first matching arrival wins).
 	for i, m := range r.inbox {
@@ -239,10 +233,6 @@ func (r *Rank) deliver(m *message) {
 // complete on the spot; a rendezvous match starts the bulk transfer.
 func (r *Rank) matched(q *Request, m *message) {
 	q.msg = m
-	if tb := r.tb; tb != nil {
-		tb.Record(trace.Event{T: r.k.Now(), Rank: r.id, Kind: trace.Match,
-			Peer: m.src, Bytes: m.bytes, Tag: m.tag})
-	}
 	if r.pb != nil {
 		probeMatch(r, m)
 	}
@@ -333,10 +323,10 @@ func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
 	return rreq.msg.bytes
 }
 
-// probeSend and probeMatch keep the probe's interface-call spill slots
-// off the isendFrac/matched frames, which sit on every rank
-// goroutine's deepest communication path (same discipline as
-// collTrace).
+// probeSend, probeRecvPost, and probeMatch keep the probe's
+// interface-call spill slots off the isendFrac/irecv/matched frames,
+// which sit on every rank goroutine's deepest communication path (same
+// discipline as probeColl).
 //
 //go:noinline
 func probeSend(r *Rank, dst, bytes, tag int, coll bool) {
@@ -344,8 +334,13 @@ func probeSend(r *Rank, dst, bytes, tag int, coll bool) {
 }
 
 //go:noinline
+func probeRecvPost(r *Rank, src, tag int) {
+	r.pb.RecvPost(r.id, r.proc.Now(), src, tag)
+}
+
+//go:noinline
 func probeMatch(r *Rank, m *message) {
-	r.pb.Match(r.id, r.k.Now(), m.src, m.sentAt, m.bytes, m.collKey != "")
+	r.pb.Match(r.id, r.k.Now(), m.src, m.sentAt, m.bytes, m.tag, m.collKey != "")
 }
 
 // sendColl / recvColl are the collective-internal variants keyed so

@@ -8,7 +8,6 @@ import (
 	"bgpsim/internal/obs"
 	"bgpsim/internal/sim"
 	"bgpsim/internal/topology"
-	"bgpsim/internal/trace"
 )
 
 // Wildcards for receive matching.
@@ -26,13 +25,15 @@ type Rank struct {
 	proc  *sim.Proc
 
 	// Execution context. In a serial run these alias the World's
-	// kernel, net, probe, and trace buffer; in a sharded run each rank
+	// kernel, net, and rank-event probe; in a sharded run each rank
 	// points at its shard's private copies, so the p2p and collective
-	// hot paths never need to know which mode they run in.
+	// hot paths never need to know which mode they run in. pb receives
+	// the rank-event hooks (World.pb); the timeline hooks Compute and
+	// RankDone go to it only when the kernel's probe is on, so a
+	// trace-only run never pays for them.
 	k   *sim.Kernel
 	net *network.Net
 	pb  obs.Probe
-	tb  *trace.Buffer
 	sh  *shard // nil in a serial run
 
 	inbox  []*message // arrived eager data / rendezvous headers, unmatched
@@ -75,8 +76,7 @@ func newRank(w *World, id int, place topology.Placement) *Rank {
 		place: place,
 		k:     w.kernel,
 		net:   w.net,
-		pb:    w.probe,
-		tb:    w.cfg.Trace,
+		pb:    w.pb,
 		rng:   sim.NewRNG(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
 	}
 	if w.noiseOn {
@@ -138,7 +138,7 @@ func (r *Rank) Compute(flops, bytes float64, class machine.KernelClass) {
 	if r.w.noiseOn {
 		d = r.w.noise.Extend(r.proc.Now(), d, r.noisePhase)
 	}
-	if r.pb != nil {
+	if r.k.Probe != nil {
 		probeCompute(r, d, d-base)
 	}
 	r.proc.Sleep(d)
@@ -146,7 +146,7 @@ func (r *Rank) Compute(flops, bytes float64, class machine.KernelClass) {
 
 // probeCompute is kept out of Compute so the probe's interface-call
 // spill slots don't widen the frame of every compute block (the same
-// stack discipline as collTrace).
+// stack discipline as probeColl).
 //
 //go:noinline
 func probeCompute(r *Rank, d, noise sim.Duration) {

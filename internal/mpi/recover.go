@@ -39,7 +39,6 @@ import (
 
 	"bgpsim/internal/fault"
 	"bgpsim/internal/sim"
-	"bgpsim/internal/trace"
 )
 
 // rankKilledPanic unwinds a dead rank's goroutine; World.Run's wrapper
@@ -325,7 +324,7 @@ func remapRoot(c, lc *Comm, root int) int {
 
 // runCollRecover is runColl's recovery-mode path: agreement gate, then
 // (for software algorithms) the algorithm's messages over the agreed
-// live membership. Trace and probe spans carry the entering rank's
+// live membership. The probe spans carry the entering rank's
 // provisional algorithm selection; the authoritative selection (which
 // can differ only when a death lands between the first and last
 // entrant) drives execution and the traffic counters.
@@ -334,9 +333,6 @@ func (c *Comm) runCollRecover(r *Rank, op opID, a CollArgs) {
 	w := c.w
 	key := c.nextKey(r, collOpNames[op])
 	label := w.selectColl(op, c.isWorld && w.treeOK, c.liveSize(), a).full
-	if r.tb != nil {
-		collTrace(r.tb, r, trace.CollEnter, key, label)
-	}
 	if r.pb != nil {
 		probeColl(r, key, label, true)
 	}
@@ -349,9 +345,6 @@ func (c *Comm) runCollRecover(r *Rank, op opID, a CollArgs) {
 		r.collAlgo = dec.algo.full
 		dec.algo.Run(dec.lc, r, key2, a2)
 		r.collAlgo = prev
-	}
-	if r.tb != nil {
-		collTrace(r.tb, r, trace.CollExit, key, label)
 	}
 	if r.pb != nil {
 		probeColl(r, key, label, false)

@@ -48,7 +48,6 @@ import (
 
 	"bgpsim/internal/fault"
 	"bgpsim/internal/sim"
-	"bgpsim/internal/trace"
 )
 
 // PeerLostError reports that a blocked point-to-point operation was
@@ -79,9 +78,8 @@ type peerLostPanic struct{ err *PeerLostError }
 //go:noinline
 func (r *Rank) peerLostUnwind(err *PeerLostError) {
 	r.peerLost = err
-	if tb := r.tb; tb != nil {
-		tb.Record(trace.Event{T: r.proc.Now(), Rank: r.id, Kind: trace.Fault,
-			Peer: err.Peer, Label: "p2p-orphan"})
+	if r.pb != nil {
+		r.pb.RankFault(r.id, r.proc.Now(), "p2p-orphan", err.Peer, 0)
 	}
 	panic(peerLostPanic{err: err})
 }
@@ -396,11 +394,12 @@ func (w *World) restartNode(nf fault.NodeFault) {
 	if reboot == 0 {
 		reboot = sim.Seconds(restartRebootS)
 	}
-	// Every probe and trace event is stamped at the death time, whatever
-	// wall the charge lands at (the detail text carries the landing
-	// times): the serial path emits them live inside the fault event,
-	// before any same-time rank event, and the sharded path's time-sorted
-	// merges then reproduce that exact order at any shard count.
+	// Every probe event is stamped at the death time, whatever wall the
+	// charge lands at (the detail text carries the landing times): the
+	// serial path emits them live inside the fault event, before any
+	// same-time rank event, and the sharded path's merge, which puts
+	// coordinator entries first at equal times, reproduces that exact
+	// order at any shard count.
 	for _, v := range victims {
 		read := w.restartRead(nf.At, v)
 		rework := nf.At.Sub(v.lastCommitAt)
@@ -413,9 +412,8 @@ func (w *World) restartNode(nf fault.NodeFault) {
 				"node %d died, rank %d restarts from commit at %v: detect %v, reboot %v, read %v, rework %v, %d message(s) to replay",
 				nf.Node, v.id, v.lastCommitAt, detect, reboot, read, rework, len(q)))
 		}
-		if v.tb != nil {
-			v.tb.Record(trace.Event{T: nf.At, Rank: v.id, Kind: trace.Fault,
-				Peer: -1, Label: "rank-restart"})
+		if w.pb != nil {
+			w.pb.RankFault(v.id, nf.At, "rank-restart", -1, 0)
 		}
 		t := nf.At.Add(detect + reboot + read + rework)
 		var replayD sim.Duration
@@ -429,9 +427,8 @@ func (w *World) restartNode(nf fault.NodeFault) {
 				w.probe.Fault(nf.At, "p2p-replay", fmt.Sprintf(
 					"rank %d <- rank %d: %d B replayed (stamp %d), lands %v", v.id, m.src, m.bytes, m.stamp, t))
 			}
-			if v.tb != nil {
-				v.tb.Record(trace.Event{T: nf.At, Rank: v.id, Kind: trace.Fault,
-					Peer: m.src, Bytes: m.bytes, Label: "p2p-replay"})
+			if w.pb != nil {
+				w.pb.RankFault(v.id, nf.At, "p2p-replay", m.src, m.bytes)
 			}
 		}
 		if t > v.floor {

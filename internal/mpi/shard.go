@@ -49,7 +49,6 @@ import (
 	"bgpsim/internal/obs"
 	"bgpsim/internal/sim"
 	"bgpsim/internal/topology"
-	"bgpsim/internal/trace"
 )
 
 // xmail is one cross-shard message: a callback to schedule on the
@@ -84,14 +83,13 @@ type shardGateEntry struct {
 
 // shard is one domain of a sharded run: a slab of torus nodes, their
 // ranks, a private kernel, a private network clone (shared read-only
-// machine/topology, private stats), and per-shard observation buffers.
+// machine/topology, private stats), and a per-shard probe log.
 type shard struct {
 	w   *World
 	id  int
 	k   *sim.Kernel
 	net *network.Net
-	pb  *obs.ShardLog // nil when the run has no probe
-	tb  *trace.Buffer // nil when the run has no trace
+	pb  *obs.ShardLog // nil when the run has neither probe nor trace
 
 	ranks []*Rank
 
@@ -151,42 +149,50 @@ func (c *Comm) syncShard(r *Rank, key string, val interface{}, fin finisher) int
 // assembles a Result byte-identical to the serial path's.
 func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 	w.sharded = true
-	w.userProbe = w.probe
-	if w.probe != nil {
-		// Coordinator-side probe calls (fault processing, recovery
-		// charges) buffer into their own log, merged with the shard logs
-		// after the run. Link-fault schedules are reported directly: the
-		// serial path emits them at run start, before any timestamped
-		// event, and a time-sorted merge would displace them.
-		w.coordLog = obs.NewShardLog()
-		w.probe = w.coordLog
+	// Every probe call of the run buffers into a log — the
+	// coordinator's (fault processing, recovery charges) or the
+	// calling rank's shard's — and the logs merge into the run's
+	// consumers after the run. Link-fault schedules are reported
+	// directly: the serial path emits them at run start, before any
+	// timestamped event, and a time-sorted merge would displace them.
+	// With the trace buffer as the only consumer the logs carry only
+	// rank-event hooks and are bounded by its capacity, so a trace-only
+	// run holds at most that many entries per log.
+	dst := w.pb
+	bound := 0
+	if w.cfg.Probe == nil && w.cfg.Trace != nil {
+		bound = w.cfg.Trace.Max()
+	}
+	if dst != nil {
+		w.coordLog = obs.NewShardLog(bound)
+		w.pb = w.coordLog
+		if w.probe != nil {
+			w.probe = w.coordLog
+		}
 	}
 	defer func() {
 		w.sharded = false
-		w.probe = w.userProbe
+		w.probe, w.pb = w.cfg.Probe, dst
 	}()
 
 	shards := make([]*shard, nshards)
 	for i := range shards {
 		sh := &shard{w: w, id: i, k: sim.NewKernel(), net: w.net.ShardClone()}
 		sh.k.Keyed()
-		if w.userProbe != nil {
-			sh.pb = obs.NewShardLog()
-			sh.k.Probe = sh.pb
-		}
-		if w.cfg.Trace != nil {
-			sh.tb = trace.NewBuffer(w.cfg.Trace.Max())
+		if dst != nil {
+			sh.pb = obs.NewShardLog(bound)
+			if w.cfg.Probe != nil {
+				sh.k.Probe = sh.pb
+			}
 		}
 		shards[i] = sh
 	}
 	w.shards = shards
 	for _, r := range w.ranks {
 		sh := shards[topology.ShardOfNode(r.place.Node, w.cfg.Nodes, nshards)]
-		r.sh, r.k, r.net, r.tb = sh, sh.k, sh.net, sh.tb
+		r.sh, r.k, r.net = sh, sh.k, sh.net
 		if sh.pb != nil {
-			r.pb = sh.pb
-		} else {
-			r.pb = nil
+			r.pb = sh.pb // otherwise r.pb is already nil: no consumer
 		}
 		sh.ranks = append(sh.ranks, r)
 	}
@@ -199,8 +205,8 @@ func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 	if w.cfg.Faults != nil {
 		pend = append(pend, w.cfg.Faults.NodeFaults()...)
 		sort.SliceStable(pend, func(i, j int) bool { return pend[i].At < pend[j].At })
-		if w.userProbe != nil {
-			reportLinkFaults(w.userProbe, w.cfg.Faults)
+		if w.cfg.Probe != nil {
+			reportLinkFaults(w.cfg.Probe, w.cfg.Faults)
 		}
 	}
 
@@ -275,22 +281,17 @@ loop:
 			}
 		}
 	}
-	// Merge per-shard observability into the user's buffers on every
-	// exit: the serial kernel writes trace and probe streams live, so
-	// they are populated even when the run ends in an error.
-	if w.cfg.Trace != nil {
-		bufs := make([]*trace.Buffer, len(w.shards))
-		for i, sh := range w.shards {
-			bufs[i] = sh.tb
-		}
-		trace.Merge(w.cfg.Trace, bufs)
-	}
-	if w.userProbe != nil {
+	// Merge the logs into the run's consumers on every exit: the
+	// serial kernel feeds them live, so they are populated even when
+	// the run ends in an error.
+	if dst != nil {
 		logs := make([]*obs.ShardLog, len(w.shards))
 		for i, sh := range w.shards {
 			logs[i] = sh.pb
 		}
-		obs.MergeShardLogs(w.userProbe, w.coordLog, logs)
+		if n := obs.MergeShardLogs(dst, w.coordLog, logs); n > 0 {
+			w.cfg.Trace.AddDropped(n) // only trace-only logs are bounded
+		}
 	}
 
 	if runErr != nil {
@@ -306,7 +307,6 @@ loop:
 	}
 
 	res := w.buildResult(finish)
-	res.Probe = w.userProbe
 	res.Shards = nshards
 	stats := w.net.Stats()
 	for _, sh := range w.shards {
@@ -318,9 +318,6 @@ loop:
 		events += sh.k.CountedEvents()
 	}
 	res.Events = events
-	if w.cfg.Trace != nil {
-		res.Dropped = w.cfg.Trace.Dropped()
-	}
 	return res, nil
 }
 

@@ -31,8 +31,11 @@ func (p *logProbe) Compute(rank int, start sim.Time, d, noise sim.Duration) {
 func (p *logProbe) Send(rank int, t sim.Time, peer, bytes, tag int, coll bool) {
 	p.add("send %d %d %d %d %d %v", rank, t, peer, bytes, tag, coll)
 }
-func (p *logProbe) Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes int, coll bool) {
-	p.add("match %d %d %d %d %d %v", rank, t, peer, sendT, bytes, coll)
+func (p *logProbe) RecvPost(rank int, t sim.Time, src, tag int) {
+	p.add("recvpost %d %d %d %d", rank, t, src, tag)
+}
+func (p *logProbe) Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes, tag int, coll bool) {
+	p.add("match %d %d %d %d %d %d %v", rank, t, peer, sendT, bytes, tag, coll)
 }
 func (p *logProbe) CollEnter(rank int, t sim.Time, key, algo string) {
 	p.add("collenter %d %d %s %s", rank, t, key, algo)
@@ -47,7 +50,10 @@ func (p *logProbe) Inject(node int, t sim.Time, wait sim.Duration, bytes int) {
 	p.add("inject %d %d %d %d", node, t, wait, bytes)
 }
 func (p *logProbe) Fault(t sim.Time, kind, detail string) { p.add("fault %d %s %s", t, kind, detail) }
-func (p *logProbe) RankDone(rank int, t sim.Time)         { p.add("done %d %d", rank, t) }
+func (p *logProbe) RankFault(rank int, t sim.Time, kind string, peer, bytes int) {
+	p.add("rankfault %d %d %s %d %d", rank, t, kind, peer, bytes)
+}
+func (p *logProbe) RankDone(rank int, t sim.Time) { p.add("done %d %d", rank, t) }
 
 var _ obs.Probe = (*logProbe)(nil)
 

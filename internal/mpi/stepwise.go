@@ -105,8 +105,7 @@ func (r *Running) Finish() (*Result, error) {
 // kernel refuses a second; when StepTo already drained the queue, Run
 // just performs the live-process deadlock check and marks the kernel
 // stopped, exactly as the straight path does) and builds the result
-// with the serial Run path's bookkeeping: stats, events, shard count,
-// dropped trace events.
+// with the serial Run path's bookkeeping: stats, events, shard count.
 func (r *Running) finalize() error {
 	if err := r.w.kernel.Run(); err != nil {
 		r.seal(nil, r.w.annotateDeadlock(err))
@@ -116,9 +115,6 @@ func (r *Running) finalize() error {
 	res.Net = r.w.net.Stats()
 	res.Events = r.w.kernel.Events()
 	res.Shards = 1
-	if r.w.cfg.Trace != nil {
-		res.Dropped = r.w.cfg.Trace.Dropped()
-	}
 	r.seal(res, nil)
 	return nil
 }

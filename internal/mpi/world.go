@@ -69,7 +69,9 @@ type Config struct {
 	// what actually ran. Zero or one means serial.
 	Shards int
 
-	// Trace, when non-nil, records message and collective events.
+	// Trace, when non-nil, records message and collective events. It
+	// is fed from the same probe stream as Probe: only the rank-event
+	// hooks, never the kernel, network, or timeline hooks.
 	Trace *trace.Buffer
 
 	// Probe, when non-nil, streams observability events — per-rank
@@ -128,7 +130,13 @@ type World struct {
 	noise   fault.NoiseProfile // active OS-noise profile
 	noiseOn bool
 
-	probe obs.Probe // nil unless observability is on
+	// probe receives the full observability stream (Config.Probe);
+	// pb receives the rank-event hooks — Send, RecvPost, Match,
+	// CollEnter/CollExit, RankFault — for both consumers,
+	// obs.Tee(Config.Probe, Config.Trace). In a sharded run both point
+	// at the coordinator's log while the coordinator loop runs.
+	probe obs.Probe
+	pb    obs.Probe
 
 	// Pre-resolved collective dispatch tables (buildCollTables).
 	collRules [numCollOps][]collRule
@@ -171,7 +179,6 @@ type World struct {
 	coordEvents uint64
 	allComms    []*Comm
 	coordLog    *obs.ShardLog
-	userProbe   obs.Probe
 }
 
 // now returns the current virtual time: the kernel clock in serial
@@ -289,6 +296,10 @@ func NewWorld(cfg Config) (*World, error) {
 		w.kernel.Probe = cfg.Probe // obs.Probe supersets sim.Probe
 		w.net.SetProbe(cfg.Probe)
 	}
+	w.pb = cfg.Probe
+	if cfg.Trace != nil { // a nil *trace.Buffer must not become a non-nil Probe
+		w.pb = obs.Tee(cfg.Probe, cfg.Trace)
+	}
 
 	w.ranks = make([]*Rank, nranks)
 	members := make([]int, nranks)
@@ -332,8 +343,8 @@ type Result struct {
 	// Dropped is the number of trace events the Config.Trace buffer
 	// discarded because it filled (zero without a trace buffer).
 	Dropped int64
-	// Probe is the probe the run drove (nil when observability is
-	// off). Use Recorder/Profile/CriticalPath for the standard views.
+	// Probe is the run's Config.Probe (nil when observability is off).
+	// Use Recorder/Profile/CriticalPath for the standard views.
 	Probe obs.Probe
 	// Lost lists the world ranks killed by fault injection under
 	// transparent recovery, sorted (empty on healthy or fail-stop
@@ -454,9 +465,6 @@ func (w *World) Run(program func(*Rank)) (*Result, error) {
 	res.Net = w.net.Stats()
 	res.Events = w.kernel.Events()
 	res.Shards = 1
-	if w.cfg.Trace != nil {
-		res.Dropped = w.cfg.Trace.Dropped()
-	}
 	return res, nil
 }
 
@@ -519,7 +527,7 @@ func (w *World) spawnRank(k *sim.Kernel, r *Rank, program func(*Rank), finish []
 		}()
 		program(r)
 		finish[r.id] = sim.Duration(p.Now())
-		if r.pb != nil {
+		if k.Probe != nil {
 			r.pb.RankDone(r.id, p.Now())
 		}
 	})
@@ -550,16 +558,19 @@ func (w *World) peakRankState() int64 {
 }
 
 // buildResult assembles the kernel-independent parts of a Result:
-// per-rank finish times, timers, losses, probe, and the memory
-// telemetry. The caller fills Events, Net, Shards, and Dropped.
+// per-rank finish times, timers, losses, probe, dropped trace events,
+// and the memory telemetry. The caller fills Events, Net, and Shards.
 func (w *World) buildResult(finish []sim.Duration) *Result {
 	res := &Result{
 		RankElapsed:   finish,
 		Timers:        make(map[string][]sim.Duration),
-		Probe:         w.probe,
+		Probe:         w.cfg.Probe,
 		Lost:          w.Lost(),
 		PeakRankState: w.peakRankState(),
 		spec:          w.cfg.JobSpec,
+	}
+	if w.cfg.Trace != nil {
+		res.Dropped = w.cfg.Trace.Dropped()
 	}
 	for _, d := range finish {
 		if d > res.Elapsed {

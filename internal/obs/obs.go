@@ -47,9 +47,12 @@ type Probe interface {
 	// Send fires when a rank injects a message (after the sender-side
 	// software overhead). coll marks collective-internal traffic.
 	Send(rank int, t sim.Time, peer, bytes, tag int, coll bool)
+	// RecvPost fires when a rank posts a receive for (src, tag); either
+	// may be a wildcard (-1).
+	RecvPost(rank int, t sim.Time, src, tag int)
 	// Match fires when a receive pairs with a message from peer that
-	// was sent at sendT.
-	Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes int, coll bool)
+	// was sent at sendT with the given tag.
+	Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes, tag int, coll bool)
 
 	// CollEnter/CollExit bracket one rank's participation in one
 	// collective operation; key is the operation's matching key and
@@ -71,6 +74,12 @@ type Probe interface {
 	// collective machinery around dead ranks, with the tree-rebuild /
 	// HW-demotion detail and the charged recovery time).
 	Fault(t sim.Time, kind, detail string)
+	// RankFault marks a fault-layer action on one rank's timeline:
+	// "rank-restart" (a user-level restart; peer -1), "p2p-replay" (one
+	// logged message from peer replayed into the restarting rank), or
+	// "p2p-orphan" (an operation with peer cancelled because the peer
+	// died). bytes is the payload size where one applies.
+	RankFault(rank int, t sim.Time, kind string, peer, bytes int)
 
 	// RankDone fires when a rank's program function returns.
 	RankDone(rank int, t sim.Time)

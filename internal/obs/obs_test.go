@@ -19,7 +19,7 @@ func feedTwoRanks(rec *Recorder) {
 	rec.Compute(1, 0, 50*usT, 0)
 	rec.ProcBlock(0, "MPI_Recv", "src 1", sim.Time(10*usT))
 	rec.Send(1, sim.Time(50*usT), 0, 1024, 7, false)
-	rec.Match(0, sim.Time(60*usT), 1, sim.Time(50*usT), 1024, false)
+	rec.Match(0, sim.Time(60*usT), 1, sim.Time(50*usT), 1024, 0, false)
 	rec.ProcUnblock(0, sim.Time(60*usT))
 	rec.Compute(0, sim.Time(60*usT), 20*usT, 0)
 	rec.Compute(1, sim.Time(50*usT), 30*usT, 0)

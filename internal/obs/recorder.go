@@ -242,8 +242,12 @@ func (rec *Recorder) Send(rank int, t sim.Time, peer, bytes, tag int, coll bool)
 	rs.sentBytes += int64(bytes)
 }
 
+// RecvPost implements Probe. Receive postings carry nothing the
+// timeline views use.
+func (rec *Recorder) RecvPost(rank int, t sim.Time, src, tag int) {}
+
 // Match implements Probe.
-func (rec *Recorder) Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes int, coll bool) {
+func (rec *Recorder) Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes, tag int, coll bool) {
 	if rank < 0 {
 		return
 	}
@@ -354,6 +358,10 @@ func (rec *Recorder) Fault(t sim.Time, kind, detail string) {
 	rec.see(t)
 	rec.faults = append(rec.faults, FaultEvent{T: t, Kind: kind, Detail: detail})
 }
+
+// RankFault implements Probe. The same actions reach the recorder,
+// with their detail text, through Fault.
+func (rec *Recorder) RankFault(rank int, t sim.Time, kind string, peer, bytes int) {}
 
 // RankDone implements Probe.
 func (rec *Recorder) RankDone(rank int, t sim.Time) {

@@ -1,15 +1,21 @@
 // Package trace records simulation events — message sends, receive
-// postings, matches, and collective entries/exits — into a bounded
-// in-memory buffer for debugging and for verifying communication
-// structure in tests. Tracing is off unless a Buffer is attached to
-// the run configuration.
+// postings, matches, collective entries/exits, and per-rank fault
+// marks — into a bounded in-memory buffer for debugging and for
+// verifying communication structure in tests. Tracing is off unless a
+// Buffer is attached to the run configuration.
+//
+// A Buffer is an obs.Probe consumer: the simulator records each event
+// once, into the probe stream, and the buffer keeps the message-level
+// hooks as Events and ignores the rest. A sharded run merges its
+// per-shard streams by obs.MergeShardLogs, so the buffer sees the same
+// events in the same order at any shard count.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 
+	"bgpsim/internal/obs"
 	"bgpsim/internal/sim"
 )
 
@@ -109,6 +115,53 @@ func (b *Buffer) Record(e Event) {
 	b.events = append(b.events, e)
 }
 
+var _ obs.Probe = (*Buffer)(nil)
+
+// Send implements obs.Probe.
+func (b *Buffer) Send(rank int, t sim.Time, peer, bytes, tag int, coll bool) {
+	b.Record(Event{T: t, Rank: rank, Kind: Send, Peer: peer, Bytes: bytes, Tag: tag})
+}
+
+// RecvPost implements obs.Probe.
+func (b *Buffer) RecvPost(rank int, t sim.Time, src, tag int) {
+	b.Record(Event{T: t, Rank: rank, Kind: RecvPost, Peer: src, Tag: tag})
+}
+
+// Match implements obs.Probe.
+func (b *Buffer) Match(rank int, t sim.Time, peer int, sendT sim.Time, bytes, tag int, coll bool) {
+	b.Record(Event{T: t, Rank: rank, Kind: Match, Peer: peer, Bytes: bytes, Tag: tag})
+}
+
+// CollEnter implements obs.Probe.
+func (b *Buffer) CollEnter(rank int, t sim.Time, key, algo string) {
+	b.Record(Event{T: t, Rank: rank, Kind: CollEnter, Peer: -1, Label: key, Algo: algo})
+}
+
+// CollExit implements obs.Probe.
+func (b *Buffer) CollExit(rank int, t sim.Time, key, algo string) {
+	b.Record(Event{T: t, Rank: rank, Kind: CollExit, Peer: -1, Label: key, Algo: algo})
+}
+
+// RankFault implements obs.Probe.
+func (b *Buffer) RankFault(rank int, t sim.Time, kind string, peer, bytes int) {
+	b.Record(Event{T: t, Rank: rank, Kind: Fault, Peer: peer, Bytes: bytes, Label: kind})
+}
+
+// ProcBlock, ProcUnblock, Compute, LinkBusy, Inject, Fault, and
+// RankDone implement obs.Probe; the trace keeps none of them.
+func (b *Buffer) ProcBlock(rank int, reason, detail string, t sim.Time)           {}
+func (b *Buffer) ProcUnblock(rank int, t sim.Time)                                {}
+func (b *Buffer) Compute(rank int, start sim.Time, d, noise sim.Duration)         {}
+func (b *Buffer) LinkBusy(link int, start sim.Time, busy sim.Duration, bytes int) {}
+func (b *Buffer) Inject(node int, t sim.Time, wait sim.Duration, bytes int)       {}
+func (b *Buffer) Fault(t sim.Time, kind, detail string)                           {}
+func (b *Buffer) RankDone(rank int, t sim.Time)                                   {}
+
+// AddDropped counts n events that were offered for recording but
+// discarded before they reached the buffer (the overflow of a sharded
+// run's bounded per-shard logs).
+func (b *Buffer) AddDropped(n int64) { b.dropped += n }
+
 // Events returns the recorded events in order.
 func (b *Buffer) Events() []Event { return b.events }
 
@@ -140,53 +193,6 @@ func (b *Buffer) OfRank(rank int) []Event {
 // OfKind returns events of one kind.
 func (b *Buffer) OfKind(k Kind) []Event {
 	return b.Filter(func(e Event) bool { return e.Kind == k })
-}
-
-// Merge fills dst (which must be empty) from per-shard buffers,
-// ordering events by (timestamp, rank, per-shard order) — the sharded
-// kernel's determinism-merge rule — and applying dst's capacity
-// globally. Any event inside the global first-capacity prefix lies
-// inside its own shard's first-capacity prefix (each shard buffer is
-// capped at dst's capacity), so no retained event was lost to a
-// per-shard cap; the dropped count is total recording attempts minus
-// the retained events, exactly the serial buffer's count.
-func Merge(dst *Buffer, shards []*Buffer) {
-	type tagged struct {
-		e   *Event
-		idx int
-	}
-	var attempts int64
-	var n int
-	for _, b := range shards {
-		if b == nil {
-			continue
-		}
-		attempts += int64(len(b.events)) + b.dropped
-		n += len(b.events)
-	}
-	all := make([]tagged, 0, n)
-	for _, b := range shards {
-		if b == nil {
-			continue
-		}
-		for i := range b.events {
-			all = append(all, tagged{e: &b.events[i], idx: i})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.e.T != b.e.T {
-			return a.e.T < b.e.T
-		}
-		if a.e.Rank != b.e.Rank {
-			return a.e.Rank < b.e.Rank
-		}
-		return a.idx < b.idx
-	})
-	for _, t := range all {
-		dst.Record(*t.e)
-	}
-	dst.dropped = attempts - int64(len(dst.events))
 }
 
 // Dump writes a human-readable log.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bgpsim/internal/obs"
 	"bgpsim/internal/sim"
 )
 
@@ -68,5 +69,42 @@ func TestDump(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestBufferAsProbe feeds every obs.Probe hook: the rank-event hooks
+// become Events (printed in every Dump line shape), the rest are
+// ignored, and AddDropped joins the overflow count.
+func TestBufferAsProbe(t *testing.T) {
+	var p obs.Probe = NewBuffer(0)
+	p.ProcBlock(0, "MPI_Wait", "(recv)", 1)
+	p.ProcUnblock(0, 2)
+	p.Compute(0, 3, 10, 1)
+	p.LinkBusy(4, 5, 6, 7)
+	p.Inject(0, 5, 1, 64)
+	p.Fault(5, "node-kill", "node 3")
+	p.RankDone(0, 99)
+	p.Send(0, 1000, 1, 64, 7, false)
+	p.RecvPost(1, 1000, 0, -1) // wildcard tag
+	p.Match(1, 2000, 0, 1000, 64, 7, false)
+	p.CollEnter(2, 3000, "#0:bcast", "bcast/binomial")
+	p.CollExit(2, 4000, "#0:bcast", "bcast/binomial")
+	p.RankFault(3, 5000, "p2p-replay", 0, 64)
+	b := p.(*Buffer)
+	b.AddDropped(2)
+	var sb strings.Builder
+	if err := b.Dump(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `0.000000001s rank 0 send -> 1  64 bytes tag 7
+0.000000001s rank 1 recv-post <- 0  tag -1
+0.000000002s rank 1 match <- 0  tag 7
+0.000000003s rank 2 coll-enter #0:bcast [bcast/binomial]
+0.000000004s rank 2 coll-exit #0:bcast [bcast/binomial]
+0.000000005s rank 3 fault p2p-replay peer 0  64 bytes
+(2 events dropped)
+`
+	if got := sb.String(); got != want {
+		t.Errorf("dump:\n%s\nwant:\n%s", got, want)
 	}
 }

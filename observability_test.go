@@ -206,3 +206,74 @@ func TestProfileTablesWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceAndProfileTogether: a trace buffer and a recorder on one run
+// each see exactly what they see alone — the trace the same events as
+// a trace-only run, the recorder the same Chrome trace bytes as a
+// profile-only run — and Result.Recorder still returns the recorder.
+// Checked on the serial kernel and at two shards.
+func TestTraceAndProfileTogether(t *testing.T) {
+	prog := func(r *bgpsim.Rank) {
+		right := (r.ID() + 1) % r.Size()
+		left := (r.ID() - 1 + r.Size()) % r.Size()
+		for k := 0; k < 3; k++ {
+			r.Compute(1e6, 1e4, bgpsim.ClassDGEMM)
+			r.Sendrecv(right, 4096, k, left, k)
+			r.World().Allreduce(r, 64, true)
+		}
+	}
+	run := func(shards int, tb *bgpsim.TraceBuffer, rec *bgpsim.Recorder) *bgpsim.Result {
+		t.Helper()
+		var opts []bgpsim.Option
+		if tb != nil {
+			opts = append(opts, bgpsim.WithTrace(tb))
+		}
+		if rec != nil {
+			opts = append(opts, bgpsim.WithProfile(rec))
+		}
+		cfg := bgpsim.NewSystem(bgpsim.BGP, bgpsim.VN, 32, append(opts, bgpsim.WithFidelity(bgpsim.Analytic))...)
+		cfg.Shards = shards
+		res, err := bgpsim.Run(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(shards, 1); res.Shards != want {
+			t.Fatalf("ran on %d shards, want %d", res.Shards, want)
+		}
+		return res
+	}
+	dump := func(tb *bgpsim.TraceBuffer) string {
+		var b strings.Builder
+		if err := tb.Dump(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	chrome := func(rec *bgpsim.Recorder) []byte {
+		var b bytes.Buffer
+		if err := rec.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, shards := range []int{0, 2} {
+		tb, rec := bgpsim.NewTraceBuffer(0), bgpsim.NewRecorder()
+		res := run(shards, tb, rec)
+		if res.Recorder() != rec {
+			t.Errorf("shards=%d: Result.Recorder() = %p, want the attached recorder %p", shards, res.Recorder(), rec)
+		}
+		tbAlone := bgpsim.NewTraceBuffer(0)
+		run(shards, tbAlone, nil)
+		if got, want := dump(tb), dump(tbAlone); got != want {
+			t.Errorf("shards=%d: trace with a recorder attached differs from a trace-only run:\n%s\nalone:\n%s", shards, got, want)
+		}
+		if tb.Len() == 0 {
+			t.Errorf("shards=%d: trace recorded nothing", shards)
+		}
+		recAlone := bgpsim.NewRecorder()
+		run(shards, nil, recAlone)
+		if got, want := chrome(rec), chrome(recAlone); !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: Chrome trace with a trace buffer attached differs from a profile-only run (%d vs %d bytes)", shards, len(got), len(want))
+		}
+	}
+}

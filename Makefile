@@ -24,7 +24,7 @@ vet:
 check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -p 1 -timeout 20m ./...
 	$(GO) test -run 'Fuzz' ./internal/topology/ ./internal/mpi/ ./internal/fault/ ./internal/fault/conformance/ ./internal/alloc/ ./internal/facility/
 	$(MAKE) cover
 	@# Chaos smoke: the faults experiment (including the log=sender /

@@ -50,7 +50,7 @@ type CollAlgo struct {
 
 	// Dur computes a hardware offload's duration; runColl performs the
 	// gate sync itself so the hot hardware path stays one call deep
-	// (an extra frame there overflows the initial goroutine stack and
+	// (an extra frame there overflows the initial coroutine stack and
 	// forces a stack copy on every fresh rank).
 	Dur func(c *Comm, a CollArgs) sim.Duration
 
@@ -153,7 +153,7 @@ func resolveCollRules(t machine.CollTable, op opID) []collRule {
 // the optional override algorithm and the machine rules with the
 // fallback table appended. Done once at NewWorld so the per-collective
 // dispatch is a bounds walk over a slice — no map lookups (hashing
-// string keys forces a stack grow on every fresh rank goroutine).
+// string keys forces a stack grow on every fresh rank coroutine).
 func (w *World) buildCollTables() {
 	for op := opID(0); op < numCollOps; op++ {
 		w.collRules[op] = append(resolveCollRules(w.mach.Coll, op),
@@ -227,7 +227,7 @@ func (c *Comm) runColl(r *Rank, op opID, a CollArgs) {
 // so the interface-call spill slots don't widen the frame of every
 // collective call (runColl sits on the stack of each rank's deepest
 // path; a fat frame there grows the stack of every fresh rank
-// goroutine).
+// coroutine).
 //
 //go:noinline
 func probeColl(r *Rank, key, algo string, enter bool) {

@@ -1,7 +1,12 @@
 package mpi
 
 import (
+	"errors"
 	"testing"
+
+	"bgpsim/internal/machine"
+	"bgpsim/internal/network"
+	"bgpsim/internal/sim"
 )
 
 // Edge cases for the prefix-scan and reduce-scatter collectives:
@@ -78,6 +83,38 @@ func TestScanReduceScatterSingleRank(t *testing.T) {
 			if res.Net.Messages != 0 {
 				t.Errorf("%s/%s p=1 sent %d messages", op, algo, res.Net.Messages)
 			}
+		}
+	}
+}
+
+// TestCollectiveNonMemberPanics checks that a rank calling a collective
+// on a communicator it does not belong to fails the run with a clear
+// message naming the rank and the communicator, instead of indexing
+// past the members' sequence counters.
+func TestCollectiveNonMemberPanics(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := bgpConfig(2, machine.VN)
+		cfg.Fidelity = network.Analytic
+		cfg.Shards = shards
+		var comms [2]*Comm
+		_, err := Execute(cfg, func(r *Rank) {
+			c := r.World().Split(r, r.ID()%2, 0)
+			if r.ID() < 2 {
+				comms[r.ID()] = c // rank i has color i
+			}
+			r.World().Barrier(r)
+			if r.ID() == 0 {
+				comms[1].Barrier(r)
+			}
+			c.Barrier(r)
+		})
+		var pe *sim.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("shards=%d: err = %v, want *sim.PanicError", shards, err)
+		}
+		want := `mpi: rank 0 is not a member of communicator "/#0:split:1"`
+		if pe.Value != want {
+			t.Errorf("shards=%d: panic value = %v, want %s", shards, pe.Value, want)
 		}
 	}
 }

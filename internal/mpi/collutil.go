@@ -47,7 +47,7 @@ func pow2Floor(p int) int {
 // round number. Built by hand rather than with fmt for the same reason
 // as Comm.nextKey: this runs on every round of every software
 // collective and fmt's deep call stack forces stack growth on fresh
-// rank goroutines.
+// rank coroutines.
 func roundKey(key, suffix string, k int) string {
 	b := make([]byte, 0, len(key)+len(suffix)+4)
 	b = append(b, key...)

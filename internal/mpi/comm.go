@@ -18,6 +18,12 @@ type Comm struct {
 	index   map[int]int
 	isWorld bool
 
+	// seq holds each member's collective sequence number on this
+	// communicator, by communicator rank (nextKey). Every member writes
+	// only its own slot, so ranks on concurrent shard kernels never
+	// touch the same word.
+	seq []int
+
 	// Recovery-mode state (recover.go): the cached live sub-communicator
 	// for the current failure epoch, and the last epoch whose recovery
 	// latency this comm has been charged.
@@ -44,18 +50,38 @@ func (c *Comm) Rank(r *Rank) int {
 // Member returns the world rank id of communicator rank i.
 func (c *Comm) Member(i int) int { return c.members[i] }
 
+// newComm returns a communicator over the given world ranks, in
+// communicator-rank order. The world communicator is built directly in
+// NewWorld (it needs no index).
+func newComm(w *World, name string, members []int, epoch int) *Comm {
+	c := &Comm{
+		w:        w,
+		name:     name,
+		members:  members,
+		index:    make(map[int]int, len(members)),
+		seq:      make([]int, len(members)),
+		recEpoch: epoch,
+	}
+	for i, m := range members {
+		c.index[m] = i
+	}
+	return c
+}
+
 // nextKey returns a unique key for the rank's next collective on this
 // communicator. MPI requires all members to issue collectives in the
-// same order, so the per-rank sequence numbers agree. Built by hand
-// rather than with fmt: this runs once per rank per collective, and
-// fmt's deep call stack forces a stack grow on every fresh rank
-// goroutine.
+// same order, so the per-member sequence numbers agree. A rank that is
+// not a member panics: it has no sequence, and its entry would corrupt
+// the members' gate. Built by hand rather than with fmt: this runs once
+// per rank per collective, and fmt's deep call stack forces a stack
+// grow on every fresh rank coroutine.
 func (c *Comm) nextKey(r *Rank, kind string) string {
-	if r.collSeq == nil {
-		r.collSeq = make(map[string]int)
+	i := c.Rank(r)
+	if i < 0 {
+		panic(fmt.Sprintf("mpi: rank %d is not a member of communicator %q", r.id, c.name))
 	}
-	seq := r.collSeq[c.name]
-	r.collSeq[c.name] = seq + 1
+	seq := c.seq[i]
+	c.seq[i] = seq + 1
 	b := make([]byte, 0, len(c.name)+len(kind)+8)
 	b = append(b, c.name...)
 	b = append(b, '#')
@@ -68,16 +94,42 @@ func (c *Comm) nextKey(r *Rank, kind string) string {
 // gate synchronizes the members of one collective operation. Ranks
 // enter with a value; when the last member arrives, the finisher
 // computes each member's release time (and optionally a shared
-// result), and everyone resumes at their release time.
+// result), and everyone resumes at their release time. Each member
+// enters once: its collective key carries its own sequence number on
+// the communicator (nextKey).
 type gate struct {
-	c       *Comm
-	fin     finisher
-	need    int
-	ranks   []*Rank
-	times   []sim.Time
-	vals    []interface{}
-	indices map[int]int // world rank id -> entry index
-	result  interface{}
+	c      *Comm
+	fin    finisher
+	need   int
+	ranks  []*Rank
+	times  []sim.Time
+	vals   []interface{}
+	result interface{}
+}
+
+// newGate opens a gate on c whose entry slices are sized for its
+// quorum, the communicator's live membership.
+func newGate(c *Comm, fin finisher) *gate {
+	need := c.liveSize()
+	return &gate{
+		c:     c,
+		fin:   fin,
+		need:  need,
+		ranks: make([]*Rank, 0, need),
+		times: make([]sim.Time, 0, need),
+		vals:  make([]interface{}, 0, need),
+	}
+}
+
+// enter adds one member's arrival and completes the gate when the
+// quorum is reached.
+func (g *gate) enter(key string, r *Rank, t sim.Time, val interface{}) {
+	g.ranks = append(g.ranks, r)
+	g.times = append(g.times, t)
+	g.vals = append(g.vals, val)
+	if len(g.ranks) == g.need {
+		g.c.w.completeGate(key, g)
+	}
 }
 
 // finisher computes per-entry release times given the entry times. It
@@ -93,19 +145,10 @@ func (c *Comm) sync(r *Rank, key string, val interface{}, fin finisher) interfac
 	}
 	g, ok := c.w.gates[key]
 	if !ok {
-		g = &gate{c: c, fin: fin, need: c.liveSize(), indices: make(map[int]int)}
+		g = newGate(c, fin)
 		c.w.gates[key] = g
 	}
-	if _, dup := g.indices[r.id]; dup {
-		panic(fmt.Sprintf("mpi: rank %d entered collective %q twice", r.id, key))
-	}
-	g.indices[r.id] = len(g.ranks)
-	g.ranks = append(g.ranks, r)
-	g.times = append(g.times, r.proc.Now())
-	g.vals = append(g.vals, val)
-	if len(g.ranks) == g.need {
-		c.w.completeGate(key, g)
-	}
+	g.enter(key, r, r.proc.Now(), val)
 	r.proc.BlockWith("collective ", key)
 	if r.gateDropped {
 		// Removed from an open gate by failNode: unwind out of the
@@ -202,17 +245,12 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 				}
 				return es[i].world < es[j].world
 			})
-			nc := &Comm{
-				w:        c.w,
-				name:     fmt.Sprintf("%s/%s:%d", c.name, gk, col),
-				members:  make([]int, len(es)),
-				index:    make(map[int]int, len(es)),
-				recEpoch: c.w.epoch, // born after these failures: no back charge
-			}
+			members := make([]int, len(es))
 			for i, e := range es {
-				nc.members[i] = e.world
-				nc.index[e.world] = i
+				members[i] = e.world
 			}
+			// Born after these failures: no back charge.
+			nc := newComm(c.w, fmt.Sprintf("%s/%s:%d", c.name, gk, col), members, c.w.epoch)
 			c.w.registerComm(nc)
 			comms[col] = nc
 		}

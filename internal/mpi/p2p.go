@@ -134,7 +134,8 @@ func (r *Rank) isendFrac(dst, bytes, tag int, collKey string, payload interface{
 		// payload) so a later restart of the destination can replay the
 		// message stream in canonical (creator rank, stamp) order. One
 		// append behind one bool — the logging-off hot path is unchanged.
-		r.sentLog = append(r.sentLog, logEnv{dst: dst, bytes: bytes, stamp: stamp, sentAt: r.proc.Now()})
+		c := r.coldState()
+		c.sentLog = append(c.sentLog, logEnv{dst: dst, bytes: bytes, stamp: stamp, sentAt: r.proc.Now()})
 	}
 	if dstRank.sh != nil && dstRank.sh != r.sh {
 		// Cross-shard: the arrival lies at least one torus-hop latency
@@ -301,7 +302,7 @@ func (r *Rank) Wait(q *Request) {
 func (r *Rank) waitNoOverhead(q *Request) {
 	if err := r.waitErrNoOverhead(q); err != nil {
 		// The plain blocking API has no error channel: unwind the rank
-		// (recovered in spawnRank, surfaced through Result.PeerLost).
+		// (recovered in Rank.run, surfaced through Result.PeerLost).
 		r.peerLostUnwind(err)
 	}
 }
@@ -325,7 +326,7 @@ func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
 
 // probeSend, probeRecvPost, and probeMatch keep the probe's
 // interface-call spill slots off the isendFrac/irecv/matched frames,
-// which sit on every rank goroutine's deepest communication path (same
+// which sit on every rank coroutine's deepest communication path (same
 // discipline as probeColl).
 //
 //go:noinline

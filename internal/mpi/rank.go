@@ -43,30 +43,57 @@ type Rank struct {
 	peakInbox  int
 	peakPosted int
 
-	// timers, timerStart, and collSeq are allocated on first write:
-	// a rank that never times or enters a collective (common in huge
-	// analytic runs) carries three nil words instead of three maps.
-	timers      map[string]sim.Duration
-	timerStart  map[string]sim.Time
-	collSeq     map[string]int // per-communicator collective sequence numbers
-	collAlgo    string         // active software collective ("op/name"), for traffic attribution
-	dead        bool           // killed under transparent recovery; unwinds at next boundary
-	gateDropped bool           // removed from an open collective gate by failNode
-	gateResult  interface{}    // sharded-gate result handoff, set by completeGate
-	rng         *sim.RNG
+	collAlgo    string      // active software collective ("op/name"), for traffic attribution
+	dead        bool        // killed under transparent recovery; unwinds at next boundary
+	gateDropped bool        // removed from an open collective gate by failNode
+	logSend     bool        // sender-based message logging on (replay.go): one bool on the isend path
+	gateResult  interface{} // sharded-gate result handoff, set by completeGate
+	rng         sim.RNG
 	noisePhase  sim.Duration // phase of this node's OS-noise events
 	clockFac    float64      // per-node variability clock multiplier (0 = off)
 
-	// Message-logging / replay state (replay.go). logSend gates the
-	// sender log append in isendFrac (one bool on the hot path); floor,
-	// when nonzero, is a pending user-level-restart charge applied at the
-	// rank's next boundary (applyFloor).
-	logSend         bool
+	// floor, when nonzero, is a pending user-level-restart charge
+	// applied at the rank's next boundary (applyFloor, replay.go).
+	floor sim.Time
+
+	// cold holds the timer, message-log and fault state most ranks
+	// never touch; it is allocated on first write (coldState). The rank
+	// record is paid once per rank, 163,840 times in a full-machine run.
+	cold *rankCold
+}
+
+// rankCold is a rank's rarely used state: named timers, the sender
+// message log and last checkpoint commit (replay.go), and a cancelled
+// point-to-point wait.
+type rankCold struct {
+	timers          map[string]sim.Duration
+	timerStart      map[string]sim.Time
 	sentLog         []logEnv
-	floor           sim.Time
 	lastCommitAt    sim.Time
 	lastCommitBytes float64
 	peerLost        *PeerLostError // set when a p2p wait was cancelled on a dead peer
+}
+
+// noCold is the all-zero cold state read for ranks that never wrote
+// one. It is never written.
+var noCold rankCold
+
+// coldState returns the rank's cold state for writing, allocating it
+// on first use.
+func (r *Rank) coldState() *rankCold {
+	if r.cold == nil {
+		r.cold = new(rankCold)
+	}
+	return r.cold
+}
+
+// coldView returns the rank's cold state for reading: the zero state
+// when the rank never wrote one.
+func (r *Rank) coldView() *rankCold {
+	if r.cold == nil {
+		return &noCold
+	}
+	return r.cold
 }
 
 func newRank(w *World, id int, place topology.Placement) *Rank {
@@ -77,7 +104,7 @@ func newRank(w *World, id int, place topology.Placement) *Rank {
 		k:     w.kernel,
 		net:   w.net,
 		pb:    w.pb,
-		rng:   sim.NewRNG(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
+		rng:   *sim.NewRNG(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
 	}
 	if w.noiseOn {
 		r.noisePhase = w.cfg.Faults.NoisePhase(place.Node, w.noise.Period)
@@ -113,7 +140,7 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 func (r *Rank) Elapsed() sim.Duration { return sim.Duration(r.proc.Now()) }
 
 // RNG returns the rank's private deterministic random source.
-func (r *Rank) RNG() *sim.RNG { return r.rng }
+func (r *Rank) RNG() *sim.RNG { return &r.rng }
 
 // Compute advances the rank's clock by the roofline time of a compute
 // block (flops of the given kernel class touching bytes of memory),
@@ -167,22 +194,24 @@ func (r *Rank) Advance(d sim.Duration) {
 
 // TimerStart begins (or resumes) the named per-rank timer.
 func (r *Rank) TimerStart(name string) {
-	if r.timerStart == nil {
-		r.timerStart = make(map[string]sim.Time)
+	c := r.coldState()
+	if c.timerStart == nil {
+		c.timerStart = make(map[string]sim.Time)
 	}
-	r.timerStart[name] = r.proc.Now()
+	c.timerStart[name] = r.proc.Now()
 }
 
 // TimerStop stops the named timer and accumulates the elapsed span.
 // Stopping a timer that is not running panics (it is a model bug).
 func (r *Rank) TimerStop(name string) {
-	start, ok := r.timerStart[name]
+	c := r.coldView()
+	start, ok := c.timerStart[name]
 	if !ok {
 		panic(fmt.Sprintf("mpi: timer %q stopped but not started", name))
 	}
-	delete(r.timerStart, name)
-	if r.timers == nil {
-		r.timers = make(map[string]sim.Duration)
+	delete(c.timerStart, name)
+	if c.timers == nil {
+		c.timers = make(map[string]sim.Duration)
 	}
-	r.timers[name] += r.proc.Now().Sub(start)
+	c.timers[name] += r.proc.Now().Sub(start)
 }

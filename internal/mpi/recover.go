@@ -5,9 +5,9 @@ package mpi
 // job and subsequent collectives run over the surviving members, in the
 // spirit of ULFM. The moving parts:
 //
-//   - Dead ranks unwind their goroutines at recovery boundaries (the
+//   - Dead ranks unwind their processes at recovery boundaries (the
 //     next compute block, point-to-point call, or collective) via a
-//     rankKilled panic recovered in World.Run's per-rank wrapper. A
+//     rankKilled panic recovered in the per-rank wrapper (Rank.run). A
 //     rank that dies in the middle of a software collective keeps
 //     participating until the collective's end (r.collAlgo guards the
 //     checks) so that survivors' in-flight rounds complete.
@@ -41,7 +41,7 @@ import (
 	"bgpsim/internal/sim"
 )
 
-// rankKilledPanic unwinds a dead rank's goroutine; World.Run's wrapper
+// rankKilledPanic unwinds a dead rank's process; the Rank.run wrapper
 // recovers it and records the rank as lost instead of failing the run.
 type rankKilledPanic struct{}
 
@@ -154,7 +154,6 @@ func (g *gate) dropDead() {
 	kept := 0
 	for i, r := range g.ranks {
 		if r.dead {
-			delete(g.indices, r.id)
 			r.gateDropped = true
 			if r.sh != nil {
 				// The dropped entrant will never see completeGate; lift
@@ -168,7 +167,6 @@ func (g *gate) dropDead() {
 			g.ranks[kept] = r
 			g.times[kept] = g.times[i]
 			g.vals[kept] = g.vals[i]
-			g.indices[r.id] = kept
 		}
 		kept++
 	}
@@ -205,16 +203,7 @@ func (c *Comm) liveComm() *Comm {
 	}
 	lc := c
 	if len(members) != len(c.members) {
-		lc = &Comm{
-			w:        w,
-			name:     c.name + "!" + strconv.Itoa(w.epoch),
-			members:  members,
-			index:    make(map[int]int, len(members)),
-			recEpoch: w.epoch,
-		}
-		for i, m := range members {
-			lc.index[m] = i
-		}
+		lc = newComm(w, c.name+"!"+strconv.Itoa(w.epoch), members, w.epoch)
 		w.registerComm(lc)
 	}
 	c.liveCache, c.liveEpoch = lc, w.epoch

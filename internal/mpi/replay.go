@@ -14,7 +14,7 @@ package mpi
 //     on a dead peer is woken at death + detection and its wait returns
 //     a typed *PeerLostError: the error-aware API (WaitErr, RecvErr)
 //     hands it to the program; the plain blocking API unwinds the rank
-//     (peerLostPanic, absorbed in spawnRank and surfaced through
+//     (peerLostPanic, absorbed in Rank.run and surfaced through
 //     Result.PeerLost). Sends complete silently — an orphaned send
 //     buffer is reusable, as after MPI_Cancel — and are counted in
 //     network.Stats.Orphans. Wildcard (AnySource) receives are never
@@ -68,7 +68,7 @@ func (e *PeerLostError) Error() string {
 }
 
 // peerLostPanic unwinds a rank whose plain (error-unaware) blocking
-// call was cancelled on a dead peer; spawnRank's wrapper absorbs it and
+// call was cancelled on a dead peer; the Rank.run wrapper absorbs it and
 // keeps the error for Result.PeerLost.
 type peerLostPanic struct{ err *PeerLostError }
 
@@ -77,7 +77,7 @@ type peerLostPanic struct{ err *PeerLostError }
 //
 //go:noinline
 func (r *Rank) peerLostUnwind(err *PeerLostError) {
-	r.peerLost = err
+	r.coldState().peerLost = err
 	if r.pb != nil {
 		r.pb.RankFault(r.id, r.proc.Now(), "p2p-orphan", err.Peer, 0)
 	}
@@ -348,8 +348,8 @@ type replayMsg struct {
 func (w *World) replayQueue(v *Rank, at sim.Time) []replayMsg {
 	var q []replayMsg
 	for _, s := range w.ranks {
-		for _, e := range s.sentLog {
-			if e.dst == v.id && e.sentAt > v.lastCommitAt && e.sentAt <= at {
+		for _, e := range s.coldView().sentLog {
+			if e.dst == v.id && e.sentAt > v.coldView().lastCommitAt && e.sentAt <= at {
 				q = append(q, replayMsg{src: s.id, stamp: e.stamp, bytes: e.bytes})
 			}
 		}
@@ -402,7 +402,8 @@ func (w *World) restartNode(nf fault.NodeFault) {
 	// order at any shard count.
 	for _, v := range victims {
 		read := w.restartRead(nf.At, v)
-		rework := nf.At.Sub(v.lastCommitAt)
+		commitAt := v.coldView().lastCommitAt
+		rework := nf.At.Sub(commitAt)
 		if rework < 0 {
 			rework = 0
 		}
@@ -410,7 +411,7 @@ func (w *World) restartNode(nf fault.NodeFault) {
 		if w.probe != nil {
 			w.probe.Fault(nf.At, "rank-restart", fmt.Sprintf(
 				"node %d died, rank %d restarts from commit at %v: detect %v, reboot %v, read %v, rework %v, %d message(s) to replay",
-				nf.Node, v.id, v.lastCommitAt, detect, reboot, read, rework, len(q)))
+				nf.Node, v.id, commitAt, detect, reboot, read, rework, len(q)))
 		}
 		if w.pb != nil {
 			w.pb.RankFault(v.id, nf.At, "rank-restart", -1, 0)
@@ -442,13 +443,14 @@ func (w *World) restartNode(nf fault.NodeFault) {
 // back: the installed Config.RestartRead hook (internal/ckpt wires its
 // stateful storage model in), or a flat stream at restartReadBWBps.
 func (w *World) restartRead(at sim.Time, v *Rank) sim.Duration {
-	if v.lastCommitBytes <= 0 {
+	bytes := v.coldView().lastCommitBytes
+	if bytes <= 0 {
 		return 0
 	}
 	if f := w.cfg.RestartRead; f != nil {
-		return f(at, v.place.Node, v.lastCommitBytes)
+		return f(at, v.place.Node, bytes)
 	}
-	return sim.Seconds(v.lastCommitBytes / restartReadBWBps)
+	return sim.Seconds(bytes / restartReadBWBps)
 }
 
 // CommitCheckpoint records that the rank durably committed a
@@ -465,8 +467,9 @@ func (r *Rank) CommitCheckpoint(bytes float64) {
 	if r.floor != 0 {
 		r.applyFloor()
 	}
-	r.lastCommitAt = r.proc.Now()
-	r.lastCommitBytes = bytes
+	c := r.coldState()
+	c.lastCommitAt = r.proc.Now()
+	c.lastCommitBytes = bytes
 }
 
 // applyFloor sleeps the rank through its pending restart window. Out

@@ -210,10 +210,7 @@ func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 		}
 	}
 
-	finish := make([]sim.Duration, len(w.ranks))
-	for _, r := range w.ranks {
-		w.spawnRank(r.k, r, program, finish)
-	}
+	w.spawnRanks(program)
 
 	L := w.net.Lookahead()
 	var runErr error
@@ -249,10 +246,7 @@ loop:
 			break
 		}
 		mailed := w.drainMail()
-		if err := w.drainEntries(); err != nil {
-			runErr = err
-			break
-		}
+		w.drainEntries()
 		if err := w.checkEventLimit(); err != nil {
 			runErr = err
 			break
@@ -270,10 +264,7 @@ loop:
 			}
 			if stepped {
 				w.drainMail()
-				if err := w.drainEntries(); err != nil {
-					runErr = err
-					break
-				}
+				w.drainEntries()
 				if err := w.checkEventLimit(); err != nil {
 					runErr = err
 					break
@@ -295,18 +286,16 @@ loop:
 	}
 
 	if runErr != nil {
+		w.releaseShards()
 		return nil, runErr
 	}
-
-	totalLive := 0
-	for _, sh := range w.shards {
-		totalLive += sh.k.Live()
-	}
-	if totalLive > 0 {
-		return nil, w.annotateDeadlock(w.mergedDeadlock())
+	if w.totalLive() > 0 {
+		err := w.mergedDeadlock()
+		w.releaseShards()
+		return nil, w.annotateDeadlock(err)
 	}
 
-	res := w.buildResult(finish)
+	res := w.buildResult()
 	res.Shards = nshards
 	stats := w.net.Stats()
 	for _, sh := range w.shards {
@@ -426,55 +415,40 @@ func (w *World) drainMail() bool {
 // serial gate machinery in (time, world rank, per-shard order) —
 // within one gate every permutation of entries yields the same
 // completion (the finishers are entry-order independent), and across
-// gates the order reproduces serial completion timing. A gate whose
-// last live member arrives completes on the spot, with the
-// coordinator's clock at that entry (exactly when the serial kernel
-// completes it).
-func (w *World) drainEntries() error {
-	type tagged struct {
-		e   shardGateEntry
-		idx int
-	}
-	var all []tagged
+// gates the order reproduces serial completion timing. A rank lives on
+// one shard, so the stable sort over the shard-ordered concatenation
+// keeps each rank's own entries in order. A gate whose last live
+// member arrives completes on the spot, with the coordinator's clock
+// at that entry (exactly when the serial kernel completes it).
+func (w *World) drainEntries() {
+	n := 0
 	for _, sh := range w.shards {
-		for i := range sh.entries {
-			all = append(all, tagged{sh.entries[i], i})
-		}
+		n += len(sh.entries)
+	}
+	if n == 0 {
+		return
+	}
+	all := make([]shardGateEntry, 0, n)
+	for _, sh := range w.shards {
+		all = append(all, sh.entries...)
+		clear(sh.entries)
 		sh.entries = sh.entries[:0]
 	}
-	if len(all) == 0 {
-		return nil
-	}
 	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i].e, all[j].e
-		if a.t != b.t {
-			return a.t < b.t
+		if all[i].t != all[j].t {
+			return all[i].t < all[j].t
 		}
-		if a.r.id != b.r.id {
-			return a.r.id < b.r.id
-		}
-		return all[i].idx < all[j].idx
+		return all[i].r.id < all[j].r.id
 	})
-	for _, te := range all {
-		e := te.e
+	for _, e := range all {
 		w.vnow = e.t
 		g, ok := w.gates[e.key]
 		if !ok {
-			g = &gate{c: e.c, fin: e.fin, need: e.c.liveSize(), indices: make(map[int]int)}
+			g = newGate(e.c, e.fin)
 			w.gates[e.key] = g
 		}
-		if _, dup := g.indices[e.r.id]; dup {
-			return fmt.Errorf("mpi: rank %d entered collective %q twice", e.r.id, e.key)
-		}
-		g.indices[e.r.id] = len(g.ranks)
-		g.ranks = append(g.ranks, e.r)
-		g.times = append(g.times, e.t)
-		g.vals = append(g.vals, e.val)
-		if len(g.ranks) == g.need {
-			w.completeGate(e.key, g)
-		}
+		g.enter(e.key, e.r, e.t, e.val)
 	}
-	return nil
 }
 
 // coordFault applies one node fault, mirroring scheduleNodeFaults'
@@ -521,6 +495,15 @@ func (w *World) refreshLiveComms() {
 	}
 	for i := 0; i < len(w.allComms); i++ {
 		w.allComms[i].liveComm()
+	}
+}
+
+// releaseShards ends every unfinished rank process on every shard
+// kernel (sim.Kernel.Release) once a run is given up, so an aborted or
+// deadlocked sharded run leaves no coroutine behind.
+func (w *World) releaseShards() {
+	for _, sh := range w.shards {
+		sh.k.Release()
 	}
 }
 

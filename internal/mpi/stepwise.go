@@ -22,11 +22,10 @@ import (
 // (Result.Shards reports 1) — output bytes are identical either way by
 // the sharded-kernel determinism contract.
 type Running struct {
-	w      *World
-	finish []sim.Duration
-	done   bool
-	res    *Result
-	err    error
+	w    *World
+	done bool
+	res  *Result
+	err  error
 }
 
 // Begin spawns the program's ranks and returns a Running handle
@@ -43,11 +42,8 @@ func (w *World) Begin(program func(*Rank)) (*Running, error) {
 			reportLinkFaults(w.probe, w.cfg.Faults)
 		}
 	}
-	finish := make([]sim.Duration, len(w.ranks))
-	for _, r := range w.ranks {
-		w.spawnRank(w.kernel, r, program, finish)
-	}
-	return &Running{w: w, finish: finish}, nil
+	w.spawnRanks(program)
+	return &Running{w: w}, nil
 }
 
 // Begin builds a world from cfg and starts program on it stepwise.
@@ -60,7 +56,7 @@ func Begin(cfg Config, program func(*Rank)) (*Running, error) {
 }
 
 // StepTo fires every pending event with a timestamp strictly below t,
-// then pauses with all rank goroutines parked. A run that ends inside
+// then pauses with all rank processes suspended. A run that ends inside
 // the window (normally or by error) is finalized exactly as Finish
 // would; further StepTo calls are then no-ops and Finish returns the
 // stored outcome. Rewinding is impossible: a t at or before Now fires
@@ -70,6 +66,7 @@ func (r *Running) StepTo(t sim.Time) error {
 		return r.err
 	}
 	if err := r.w.kernel.RunWindow(t); err != nil {
+		r.w.kernel.Release()
 		r.seal(nil, r.w.annotateDeadlock(err))
 		return r.err
 	}
@@ -111,7 +108,7 @@ func (r *Running) finalize() error {
 		r.seal(nil, r.w.annotateDeadlock(err))
 		return r.err
 	}
-	res := r.w.buildResult(r.finish)
+	res := r.w.buildResult()
 	res.Net = r.w.net.Stats()
 	res.Events = r.w.kernel.Events()
 	res.Shards = 1

@@ -8,6 +8,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"bgpsim/internal/cpu"
 	"bgpsim/internal/fault"
@@ -167,6 +168,11 @@ type World struct {
 	gates map[string]*gate
 	ran   bool
 
+	// program is the rank body of the run and finish each rank's
+	// finish time, set when the ranks are spawned (spawnRanks).
+	program func(*Rank)
+	finish  []sim.Duration
+
 	// Sharded-execution state (shard.go). sharded is true while
 	// runSharded drives the coordinator loop; vnow is the coordinator's
 	// virtual time (what w.now() reports during barrier-side work);
@@ -307,7 +313,7 @@ func NewWorld(cfg Config) (*World, error) {
 		w.ranks[i] = newRank(w, i, w.mapper.Place(i))
 		members[i] = i
 	}
-	w.world = &Comm{w: w, members: members, isWorld: true}
+	w.world = &Comm{w: w, members: members, isWorld: true, seq: make([]int, nranks)}
 	w.registerComm(w.world)
 	w.buildCollTables()
 	return w, nil
@@ -454,14 +460,11 @@ func (w *World) Run(program func(*Rank)) (*Result, error) {
 			reportLinkFaults(w.probe, w.cfg.Faults)
 		}
 	}
-	finish := make([]sim.Duration, len(w.ranks))
-	for _, r := range w.ranks {
-		w.spawnRank(w.kernel, r, program, finish)
-	}
+	w.spawnRanks(program)
 	if err := w.kernel.Run(); err != nil {
 		return nil, w.annotateDeadlock(err)
 	}
-	res := w.buildResult(finish)
+	res := w.buildResult()
 	res.Net = w.net.Stats()
 	res.Events = w.kernel.Events()
 	res.Shards = 1
@@ -499,38 +502,48 @@ func (w *World) effectiveShards() int {
 	return s
 }
 
-// spawnRank starts one rank's process on the given kernel with the
-// standard kill-absorbing wrapper (shared by the serial and sharded
-// paths).
-func (w *World) spawnRank(k *sim.Kernel, r *Rank, program func(*Rank), finish []sim.Duration) {
-	r.proc = k.SpawnTagged(fmt.Sprintf("rank %d", r.id), r.id, func(p *sim.Proc) {
-		defer func() {
-			// A rank killed under transparent recovery unwinds with
-			// a rankKilledPanic; absorb it here (recording when the
-			// rank died) so the kernel's wrapper never sees it. No
-			// RankDone: the rank did not finish the program.
-			if v := recover(); v != nil {
-				if _, killed := v.(rankKilledPanic); killed {
-					finish[r.id] = sim.Duration(p.Now())
-					return
-				}
-				if _, cancelled := v.(peerLostPanic); cancelled {
-					// A survivor whose plain blocking wait was cancelled
-					// on a dead peer (log=sender): the error is already in
-					// r.peerLost for Result.PeerLost. No RankDone — the
-					// rank did not finish the program.
-					finish[r.id] = sim.Duration(p.Now())
-					return
-				}
-				panic(v)
+// spawnRanks starts every rank's process on the rank's kernel (the
+// World's, or its shard's in a sharded run) and sets up the per-rank
+// finish times the Result reports. Shared by the serial, stepwise and
+// sharded paths.
+func (w *World) spawnRanks(program func(*Rank)) {
+	w.program = program
+	w.finish = make([]sim.Duration, len(w.ranks))
+	for _, r := range w.ranks {
+		r.proc = r.k.SpawnTagged("rank "+strconv.Itoa(r.id), r.id, r.run)
+	}
+}
+
+// run is a rank's process body: the World's program under the
+// standard kill-absorbing wrapper.
+func (r *Rank) run(p *sim.Proc) {
+	finish := r.w.finish
+	defer func() {
+		// A rank killed under transparent recovery unwinds with a
+		// rankKilledPanic; absorb it here (recording when the rank
+		// died) so the kernel's wrapper never sees it. No RankDone: the
+		// rank did not finish the program.
+		if v := recover(); v != nil {
+			if _, killed := v.(rankKilledPanic); killed {
+				finish[r.id] = sim.Duration(p.Now())
+				return
 			}
-		}()
-		program(r)
-		finish[r.id] = sim.Duration(p.Now())
-		if k.Probe != nil {
-			r.pb.RankDone(r.id, p.Now())
+			if _, cancelled := v.(peerLostPanic); cancelled {
+				// A survivor whose plain blocking wait was cancelled on
+				// a dead peer (log=sender): the error is already in the
+				// rank's cold state for Result.PeerLost. No RankDone —
+				// the rank did not finish the program.
+				finish[r.id] = sim.Duration(p.Now())
+				return
+			}
+			panic(v)
 		}
-	})
+	}()
+	r.w.program(r)
+	finish[r.id] = sim.Duration(p.Now())
+	if r.k.Probe != nil {
+		r.pb.RankDone(r.id, p.Now())
+	}
 }
 
 // Modeled per-rank state sizes for the PeakRankState telemetry: the
@@ -560,9 +573,9 @@ func (w *World) peakRankState() int64 {
 // buildResult assembles the kernel-independent parts of a Result:
 // per-rank finish times, timers, losses, probe, dropped trace events,
 // and the memory telemetry. The caller fills Events, Net, and Shards.
-func (w *World) buildResult(finish []sim.Duration) *Result {
+func (w *World) buildResult() *Result {
 	res := &Result{
-		RankElapsed:   finish,
+		RankElapsed:   w.finish,
 		Timers:        make(map[string][]sim.Duration),
 		Probe:         w.cfg.Probe,
 		Lost:          w.Lost(),
@@ -572,18 +585,18 @@ func (w *World) buildResult(finish []sim.Duration) *Result {
 	if w.cfg.Trace != nil {
 		res.Dropped = w.cfg.Trace.Dropped()
 	}
-	for _, d := range finish {
+	for _, d := range w.finish {
 		if d > res.Elapsed {
 			res.Elapsed = d
 		}
 	}
 	for _, r := range w.ranks {
-		if r.peerLost != nil {
-			res.PeerLost = append(res.PeerLost, r.peerLost)
+		if pl := r.coldView().peerLost; pl != nil {
+			res.PeerLost = append(res.PeerLost, pl)
 		}
 	}
 	for _, r := range w.ranks {
-		for name, d := range r.timers {
+		for name, d := range r.coldView().timers {
 			ds, ok := res.Timers[name]
 			if !ok {
 				ds = make([]sim.Duration, len(w.ranks))

@@ -103,11 +103,6 @@ type Kernel struct {
 	runq     []event
 	runqHead int
 
-	// yieldCh is signaled by the currently running process when it
-	// stops running (blocks or terminates), handing control back to
-	// the event loop. Exactly one process runs at any instant.
-	yieldCh chan struct{}
-
 	procs    []*Proc
 	live     int // spawned processes that have not finished
 	stopped  bool
@@ -168,9 +163,8 @@ const initialQueueCap = 256
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
 	return &Kernel{
-		yieldCh: make(chan struct{}),
-		events:  make(eventQueue, 0, initialQueueCap),
-		runq:    make([]event, 0, initialQueueCap),
+		events: make(eventQueue, 0, initialQueueCap),
+		runq:   make([]event, 0, initialQueueCap),
 	}
 }
 
@@ -393,7 +387,9 @@ func (k *Kernel) next() (event, bool) {
 // Run fires events in timestamp order until the queue drains. It
 // returns nil when every spawned process has finished, and a
 // *DeadlockError when the queue drains with processes still blocked.
-// The goroutines of deadlocked processes are abandoned.
+// On every error return — a deadlock, an abort, an exceeded event
+// limit — the unfinished processes are released (see Release) after
+// the error is built, so a failed run leaves no coroutine behind.
 func (k *Kernel) Run() error {
 	if k.stopped {
 		return fmt.Errorf("sim: kernel already ran")
@@ -403,39 +399,41 @@ func (k *Kernel) Run() error {
 		if !ok {
 			break
 		}
-		k.now = e.t
-		if e.proc != nil {
-			k.runProc(e.proc)
-		} else {
-			e.fn()
-		}
-		k.fired++
-		if k.abortErr != nil {
-			k.stopped = true
-			return k.abortErr
-		}
-		if k.EventLimit > 0 && k.fired > k.EventLimit {
-			k.stopped = true
-			return fmt.Errorf("sim: event limit %d exceeded at %v", k.EventLimit, k.now)
+		if err := k.fire(e); err != nil {
+			k.Release()
+			return err
 		}
 	}
 	k.stopped = true
 	if k.live > 0 {
-		var blocked []BlockedProc
-		for _, p := range k.procs {
-			if !p.done {
-				blocked = append(blocked, p.blockedInfo())
-			}
-		}
+		blocked := k.BlockedProcs()
 		sort.Slice(blocked, func(i, j int) bool {
 			if blocked[i].Name != blocked[j].Name {
 				return blocked[i].Name < blocked[j].Name
 			}
 			return blocked[i].Since < blocked[j].Since
 		})
+		k.Release()
 		return &DeadlockError{Time: k.now, Blocked: blocked}
 	}
 	return nil
+}
+
+// Release ends the run for every process that has not finished: each
+// coroutine is stopped, and a suspended body unwinds from its
+// suspension point, running its deferred calls, without resuming,
+// aborting the kernel, or firing probe hooks. Released processes still
+// count as unfinished (Live, BlockedProcs). The kernel cannot run
+// again. Run releases on its own error returns; a caller that drives
+// the kernel through RunWindow or StepOne (the sharded coordinator)
+// calls Release when it gives the run up.
+func (k *Kernel) Release() {
+	k.stopped = true
+	for _, p := range k.procs {
+		if p.stop != nil { // started and unfinished
+			p.stop()
+		}
+	}
 }
 
 // PeekTime returns the timestamp of the earliest pending event without
@@ -573,31 +571,41 @@ func (k *Kernel) Drained() bool {
 	return !ok
 }
 
-// runProc transfers control to p and waits until p yields back.
+// runProc switches to p's coroutine and returns when p suspends again
+// (blocks, sleeps) or its body returns.
 //
-// The block/unblock probe hooks fire here, on the event loop's side
-// of the channel handoff, rather than inside Proc.Block: Block must
-// stay inlinable (see its comment), and the loop observes the same
-// transitions — a resumed process with a non-empty blocked reason is
-// waking from Block; a yield that leaves the reason set is a Block
-// taking effect (Sleep and process exit clear or never set it). The
-// observed event order is identical to in-Block hooks because nothing
-// runs between a process's yield and this loop, or between the resume
-// send and the process continuing.
+// The bookkeeping of Block lives here, on the event loop's side of the
+// coroutine switch, rather than inside Proc.Block, which must stay
+// inlinable (see its comment). A resumed process with a non-empty
+// blocked reason is waking from Block: the loop fires ProcUnblock and
+// clears the reason. A suspension that leaves the reason set is a
+// Block taking effect (Sleep and process exit never set it): the loop
+// stamps when it began and fires ProcBlock. The observed event order
+// is identical to in-Block hooks because nothing runs between a
+// process's suspension and this loop, or between the switch and the
+// process continuing.
 func (k *Kernel) runProc(p *Proc) {
 	p.resumePending = false
 	if p.done {
 		// The process unwound (a dead rank under fault recovery) while
-		// this resume was in flight; there is no goroutine to hand
-		// control to.
+		// this resume was in flight; there is no coroutine to switch
+		// to.
 		return
 	}
-	if k.Probe != nil && p.blocked != "" {
-		k.Probe.ProcUnblock(p.tag, k.now)
+	if p.blocked != "" {
+		if k.Probe != nil {
+			k.Probe.ProcUnblock(p.tag, k.now)
+		}
+		p.blocked, p.blockedDetail = "", ""
 	}
-	p.resume <- struct{}{}
-	<-k.yieldCh
-	if k.Probe != nil && p.blocked != "" {
-		k.Probe.ProcBlock(p.tag, p.blocked, p.blockedDetail, k.now)
+	if p.next == nil {
+		p.start() // first resume
+	}
+	p.next()
+	if p.blocked != "" {
+		p.blockedSince = k.now
+		if k.Probe != nil {
+			k.Probe.ProcBlock(p.tag, p.blocked, p.blockedDetail, k.now)
+		}
 	}
 }

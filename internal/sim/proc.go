@@ -5,16 +5,35 @@ import (
 	"runtime/debug"
 )
 
-// Proc is a logical process: a goroutine whose execution is serialized
-// by the kernel. Model code inside a process body may freely read and
-// mutate shared model state without locks, because the kernel
-// guarantees only one process (or event callback) runs at a time, with
-// channel handoffs establishing happens-before edges.
+// Proc is a logical process: a coroutine whose execution is
+// serialized by the kernel. Model code inside a process body may freely
+// read and mutate shared model state without locks, because the kernel
+// guarantees only one process (or event callback) runs at a time: the
+// event loop resumes a process by switching to its coroutine and
+// continues only once the process suspends again or finishes, so every
+// handoff is a direct switch with a happens-before edge in each
+// direction, even when successive resumes come from different
+// goroutines (as the sharded kernels' windows do).
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{}
+	k    *Kernel
+	name string
+
+	// body is the process function until its first resume creates the
+	// coroutine (start). Creating it there rather than at spawn means a
+	// process never sits on a fresh, unstarted stack: a model that
+	// spawns every rank up front would otherwise hold one per rank
+	// until the kernel reaches it, and the garbage collector shrinks
+	// such idle stacks only for them to grow again on their first run.
+	body func(p *Proc)
+
+	// next resumes the coroutine until the process suspends or its body
+	// returns; suspend is the coroutine's side of the same switch; stop
+	// unwinds a suspended coroutine for good (Kernel.Release). All three
+	// are dropped once the process finishes or is released, so a
+	// finished process holds no coroutine.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
 
 	done          bool
 	resumePending bool   // a resume event is scheduled and undelivered
@@ -61,27 +80,37 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // an untagged process would fall back to the kernel-local sequence,
 // which is not stable across shard counts.
 func (k *Kernel) SpawnTagged(name string, tag int, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, id: len(k.procs), name: name, resume: make(chan struct{}), tag: tag}
+	p := &Proc{k: k, name: name, tag: tag, body: fn}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		<-p.resume // wait for the kernel to start us
-		defer func() {
-			if r := recover(); r != nil {
-				if fp, ok := r.(failPanic); ok {
-					p.k.Abort(fp.err)
-				} else {
-					p.k.Abort(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
-				}
-			}
-			p.done = true
-			p.k.live--
-			p.k.yieldCh <- struct{}{}
-		}()
-		fn(p)
-	}()
 	k.atResume(k.now, p)
 	return p
+}
+
+// released is the panic that unwinds a process stopped by
+// Kernel.Release. The spawn wrapper swallows it: a released process
+// neither aborts the kernel nor counts as finished.
+type released struct{}
+
+// finish is the spawn wrapper's exit path, run deferred inside the
+// coroutine with the body's recovered panic value (nil on a normal
+// return). A panic aborts the kernel with a *PanicError (or, for Fail,
+// the carried error itself); the release sentinel ends the coroutine
+// silently.
+func (p *Proc) finish(r any) {
+	p.next, p.suspend, p.stop = nil, nil, nil
+	if _, ok := r.(released); ok {
+		return
+	}
+	if r != nil {
+		if fp, ok := r.(failPanic); ok {
+			p.k.Abort(fp.err)
+		} else {
+			p.k.Abort(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}
+	p.done = true
+	p.k.live--
 }
 
 // Kernel returns the kernel this process runs under.
@@ -94,11 +123,13 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.k.now }
 
 // yield suspends the process and returns control to the event loop.
-// The process resumes when something sends on p.resume (via
-// Kernel.runProc from a scheduled event).
+// The process resumes when Kernel.runProc switches back to it from a
+// scheduled event. A false return from suspend means Kernel.Release
+// stopped the coroutine: the process unwinds instead of resuming.
 func (p *Proc) yield() {
-	p.k.yieldCh <- struct{}{}
-	<-p.resume
+	if !p.suspend(struct{}{}) {
+		panic(released{})
+	}
 }
 
 // Sleep advances the process's virtual time by d. Negative d panics.
@@ -123,29 +154,29 @@ func (p *Proc) SleepUntil(t Time) {
 // calls Wake. The reason string appears in deadlock reports.
 //
 // Block and BlockWith MUST stay inlinable (like yield): they sit at
-// the deepest point of every rank goroutine's stack, and outlining
-// them adds a frame that tips thousands of fresh goroutine stacks
-// into growth. That is why the ProcBlock/ProcUnblock probe hooks fire
-// from Kernel.runProc — the event loop's side of the same channel
-// handoff — instead of here: even one extra call would blow the
-// inlining budget, and the kernel observes the identical transitions
-// in the identical order for free.
+// the deepest point of every rank coroutine's stack, and outlining
+// them adds a frame that tips thousands of fresh stacks into growth.
+// yield's indirect call to the coroutine switch takes most of the
+// inlining budget, so everything else about a block happens in
+// Kernel.runProc, the event loop's side of the same switch: it stamps
+// blockedSince when a suspension leaves the reason set, clears the
+// reason when it resumes a blocked process, and fires the
+// ProcBlock/ProcUnblock probe hooks. Nothing runs between a process's
+// suspension and the loop, or between the loop's switch and the
+// process continuing, so the kernel observes the identical
+// transitions in the identical order.
 func (p *Proc) Block(reason string) {
 	p.blocked = reason
-	p.blockedSince = p.k.now
 	p.yield()
-	p.blocked = ""
 }
 
 // BlockWith is Block with the reason in two parts, joined only if a
 // deadlock report asks for it: blocking is the innermost step of every
 // communication call, and a string concatenation there allocates at
-// the deepest point of the stack, growing it on every fresh goroutine.
+// the deepest point of the stack, growing it on every fresh coroutine.
 func (p *Proc) BlockWith(prefix, detail string) {
 	p.blocked, p.blockedDetail = prefix, detail
-	p.blockedSince = p.k.now
 	p.yield()
-	p.blocked, p.blockedDetail = "", ""
 }
 
 // Blocked reports whether the process is currently suspended in Block

@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances an integer virtual clock (picosecond resolution)
-// through a priority queue of events. Logical processes are backed by
-// goroutines but execute strictly one at a time under kernel control, so
+// through a priority queue of events. Logical processes are runtime
+// coroutines that execute strictly one at a time under kernel control, so
 // model code never needs locks and every run of a given model is
 // bit-for-bit reproducible.
 package sim

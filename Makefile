@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet check bench bench-all benchdiff paper paper-full verify examples cover clean
+.PHONY: all build test test-short vet check bench bench-all benchdiff bench-e2e paper paper-full verify examples cover clean
 
 all: build test
 
@@ -119,6 +119,26 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff -old BENCH_kernel.json -new bench_fresh.json \
 		-max-regress 10 -require KernelAllreduce512,KernelBcast512,KernelSharded/shards=1
 	@rm -f bench_fresh.json
+
+# End-to-end ledger: run the repository benchmark (perfbench, see
+# BENCHMARK.json) on every workload at seeds 1-3, 30 s each, and append
+# each result line, with the date, host, commit and Go version, to
+# BENCH_e2e.json (one JSON object per line). A commit ending in
+# "-dirty" ran with uncommitted changes on top.
+bench-e2e:
+	@commit=$$(git rev-parse --short HEAD); \
+	git diff --quiet HEAD -- . ':!BENCH_e2e.json' || commit=$$commit-dirty; \
+	host="$$(nproc)-core $$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1), $$(awk '/^MemTotal/ {printf "%.0f GB", $$2 / 1048576}' /proc/meminfo)"; \
+	gover=$$($(GO) env GOVERSION); \
+	for w in sweep-contention intrepid-sharded server-mixed; do \
+		for s in 1 2 3; do \
+			out=$$(bash perfbench/run.sh --workload $$w --seed $$s --seconds 30 --trace 0) || exit 1; \
+			line=$$(printf '%s\n' "$$out" | tail -n 1); \
+			printf '{"date":"%s","host":"%s","go":"%s","commit":"%s","workload":"%s","seed":%d,"seconds":30,"result":%s}\n' \
+				"$$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$$host" "$$gover" "$$commit" $$w $$s "$$line" >> BENCH_e2e.json; \
+			echo "bench-e2e: $$w seed $$s: $$line"; \
+		done; \
+	done
 
 # Regenerate every paper table/figure at reduced scale into results/.
 paper:

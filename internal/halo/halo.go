@@ -190,79 +190,142 @@ func build(o Options) (mpi.Config, func(*mpi.Rank), *sim.Duration, error) {
 	cfg.Trace = o.Trace
 	cfg.Probe = o.Probe
 
-	n := o.Words * wordBytes
-	nx, ny := o.GridX, o.GridY
-	total := new(sim.Duration)
-	program := func(r *mpi.Rank) {
-		me := r.ID()
-		x, y := me%nx, me/nx
-		wrap := func(v, m int) int { return ((v % m) + m) % m }
-		at := func(x, y int) int { return wrap(y, ny)*nx + wrap(x, nx) }
-		north := at(x, y-1)
-		south := at(x, y+1)
-		west := at(x-1, y)
-		east := at(x+1, y)
-
-		if o.Protocol == Persistent {
-			// Channels are established once, before timing begins.
-			ns := []*mpi.PersistentRequest{
-				r.RecvInit(south, 1), r.RecvInit(north, 2),
-				r.SendInit(north, n, 1), r.SendInit(south, 2*n, 2),
-			}
-			we := []*mpi.PersistentRequest{
-				r.RecvInit(east, 3), r.RecvInit(west, 4),
-				r.SendInit(west, n, 3), r.SendInit(east, 2*n, 4),
-			}
-			r.World().Barrier(r)
-			t0 := r.Now()
-			for it := 0; it < iters; it++ {
-				mpi.StartAll(ns...)
-				mpi.WaitAllPersistent(ns...)
-				mpi.StartAll(we...)
-				mpi.WaitAllPersistent(we...)
-			}
-			if me == 0 {
-				*total = r.Now().Sub(t0) / sim.Duration(iters)
-			}
-			return
-		}
-
-		r.World().Barrier(r)
-		t0 := r.Now()
-		for it := 0; it < iters; it++ {
-			exchangePhase(r, o.Protocol, north, n, south, 2*n, 10+it*4)
-			exchangePhase(r, o.Protocol, west, n, east, 2*n, 12+it*4)
-		}
-		if me == 0 {
-			*total = r.Now().Sub(t0) / sim.Duration(iters)
-		}
+	pl := &plan{nx: o.GridX, ny: o.GridY, n: o.Words * wordBytes, iters: iters, total: new(sim.Duration)}
+	switch o.Protocol {
+	case IsendIrecv:
+		return cfg, pl.exchange(isendIrecvPhase), pl.total, nil
+	case SendRecv:
+		return cfg, pl.exchange(sendRecvPhase), pl.total, nil
+	case IrecvSend:
+		return cfg, pl.exchange(irecvSendPhase), pl.total, nil
+	case Persistent:
+		return cfg, pl.persistent(), pl.total, nil
 	}
-	return cfg, program, total, nil
+	return mpi.Config{}, nil, nil, fmt.Errorf("halo: unknown protocol %d", o.Protocol)
 }
 
-// exchangePhase sends small to the `less` neighbour and large to the
-// `more` neighbour, receiving the mirror amounts, and completes before
-// returning (the benchmark's two-phase structure).
-func exchangePhase(r *mpi.Rank, p Protocol, less, smallBytes, more, largeBytes, tag int) {
-	switch p {
-	case IsendIrecv:
-		r1 := r.Irecv(more, tag)
-		r2 := r.Irecv(less, tag+1)
-		s1 := r.Isend(less, smallBytes, tag)
-		s2 := r.Isend(more, largeBytes, tag+1)
-		r.Waitall(r1, r2, s1, s2)
-	case SendRecv:
-		r.Sendrecv(less, smallBytes, tag, more, tag)
-		r.Sendrecv(more, largeBytes, tag+1, less, tag+1)
-	case IrecvSend:
-		r1 := r.Irecv(more, tag)
-		r2 := r.Irecv(less, tag+1)
-		r.Send(less, smallBytes, tag)
-		r.Send(more, largeBytes, tag+1)
-		r.Waitall(r1, r2)
-	default:
-		panic(fmt.Sprintf("halo: unknown protocol %d", p))
+// plan is one run's read-only rank program: the process grid, the halo
+// size and the iteration count. Every rank reads it; none writes it
+// (rank 0 writes the result through total). The rank bodies and phases
+// keep their frames small: they sit above every MPI call on each rank's
+// coroutine stack, which must fit the rank stack budget (see
+// docs/PERFORMANCE.md).
+type plan struct {
+	nx, ny int
+	n      int // small halo in bytes (N words); the large halo is 2n
+	iters  int
+	total  *sim.Duration // receives rank 0's mean time per exchange
+}
+
+// neighbour returns the rank at grid offset (dx, dy) from rank me, on
+// the periodic grid.
+func (pl *plan) neighbour(me, dx, dy int) int {
+	x := (me%pl.nx + dx + pl.nx) % pl.nx
+	y := (me/pl.nx + dy + pl.ny) % pl.ny
+	return y*pl.nx + x
+}
+
+// pair returns the less and more neighbours of rank me in phase d:
+// north and south in phase 0, west and east in phase 1.
+func (pl *plan) pair(me, d int) (less, more int) {
+	if d == 0 {
+		return pl.neighbour(me, 0, -1), pl.neighbour(me, 0, 1)
 	}
+	return pl.neighbour(me, -1, 0), pl.neighbour(me, 1, 0)
+}
+
+// exchange returns the rank body of the non-persistent protocols: a
+// barrier, then per iteration a north/south and a west/east phase. The
+// body is a closure rather than a method value, which would add a
+// wrapper frame under every rank's program.
+func (pl *plan) exchange(phase func(r *mpi.Rank, less, more, n, tag int)) func(*mpi.Rank) {
+	return func(r *mpi.Rank) {
+		me := r.ID()
+		r.World().Barrier(r)
+		t0 := r.Now()
+		for it := 0; it < pl.iters; it++ {
+			for d := 0; d < 2; d++ {
+				less, more := pl.pair(me, d)
+				phase(r, less, more, pl.n, 10+4*it+2*d)
+			}
+		}
+		pl.record(r, t0)
+	}
+}
+
+// A phase function runs one exchange: it sends n bytes to the less
+// neighbour and 2n to the more neighbour, receives the mirror amounts,
+// and completes before it returns (the benchmark's two-phase
+// structure).
+
+// isendIrecvPhase posts both receives and both sends, then waits on
+// all four.
+func isendIrecvPhase(r *mpi.Rank, less, more, n, tag int) {
+	r1 := r.Irecv(more, tag)
+	r2 := r.Irecv(less, tag+1)
+	s1 := r.Isend(less, n, tag)
+	s2 := r.Isend(more, 2*n, tag+1)
+	r.Wait(r1)
+	r.Wait(r2)
+	r.Wait(s1)
+	r.Wait(s2)
+}
+
+// sendRecvPhase uses two MPI_SENDRECV calls.
+func sendRecvPhase(r *mpi.Rank, less, more, n, tag int) {
+	r.Sendrecv(less, n, tag, more, tag)
+	r.Sendrecv(more, 2*n, tag+1, less, tag+1)
+}
+
+// irecvSendPhase posts the receives first, then sends blocking.
+func irecvSendPhase(r *mpi.Rank, less, more, n, tag int) {
+	r1 := r.Irecv(more, tag)
+	r2 := r.Irecv(less, tag+1)
+	r.Send(less, n, tag)
+	r.Send(more, 2*n, tag+1)
+	r.Wait(r1)
+	r.Wait(r2)
+}
+
+// record stores rank 0's mean time per exchange.
+func (pl *plan) record(r *mpi.Rank, t0 sim.Time) {
+	if r.ID() == 0 {
+		*pl.total = r.Now().Sub(t0) / sim.Duration(pl.iters)
+	}
+}
+
+// persistent returns the rank body of the persistent protocol:
+// channels are established once, before timing begins.
+func (pl *plan) persistent() func(*mpi.Rank) {
+	return func(r *mpi.Rank) {
+		ch := pl.channels(r)
+		r.World().Barrier(r)
+		t0 := r.Now()
+		for it := 0; it < pl.iters; it++ {
+			mpi.StartAll(ch[:4]...)
+			mpi.WaitAllPersistent(ch[:4]...)
+			mpi.StartAll(ch[4:]...)
+			mpi.WaitAllPersistent(ch[4:]...)
+		}
+		pl.record(r, t0)
+	}
+}
+
+// channels sets up a rank's persistent channels: the north/south
+// phase's four, then the west/east phase's, each phase receiving from
+// both neighbours and sending small to less and large to more.
+func (pl *plan) channels(r *mpi.Rank) *[8]*mpi.PersistentRequest {
+	ch := new([8]*mpi.PersistentRequest)
+	me := r.ID()
+	for d := 0; d < 2; d++ {
+		less, more := pl.pair(me, d)
+		tag := 1 + 2*d
+		ch[4*d] = r.RecvInit(more, tag)
+		ch[4*d+1] = r.RecvInit(less, tag+1)
+		ch[4*d+2] = r.SendInit(less, pl.n, tag)
+		ch[4*d+3] = r.SendInit(more, 2*pl.n, tag+1)
+	}
+	return ch
 }
 
 // BestMapping runs the benchmark under each candidate mapping and

@@ -191,35 +191,69 @@ func (w *World) selectColl(op opID, world bool, procs int, a CollArgs) *CollAlgo
 }
 
 // runColl is the single dispatch point for every collective: it draws
-// the collective's matching key, selects the algorithm, records the
-// probe span and traffic accounting, and runs the hardware offload, the
-// closed-form analytic model, or the software algorithm.
+// the collective's sequence number, selects the algorithm (pick), and
+// runs the hardware offload or the closed-form analytic model through
+// the collective's gate (gateColl), or the software algorithm. Selection
+// and gating live in helpers to keep runColl's own frame small: it sits
+// on every rank's collective path, which must fit the rank stack budget
+// (docs/PERFORMANCE.md). It also range-checks a rooted collective's
+// root (every other collective passes root 0), so the entry points
+// stay small enough to inline into the rank's program.
 func (c *Comm) runColl(r *Rank, op opID, a CollArgs) {
+	if uint(a.Root) >= uint(c.Size()) {
+		badRoot(op, a.Root)
+	}
 	if c.w.recovery {
 		c.runCollRecover(r, op, a)
 		return
 	}
-	key := c.nextKey(r, collOpNames[op])
-	al := c.w.selectColl(op, c.isWorld, c.Size(), a)
+	seq := c.nextSeq(r)
+	al := c.pick(r, op, a)
+	if al.HW || c.w.cfg.AnalyticCollectives {
+		c.gateColl(r, seq, op, al, a)
+		return
+	}
+	key := c.key(seq, al.Op)
 	if r.pb != nil {
 		probeColl(r, key, al.full, true)
 	}
+	prev := r.collAlgo
+	r.collAlgo = al.full
+	al.Run(c, r, key, a)
+	r.collAlgo = prev
+	if r.pb != nil {
+		probeColl(r, key, al.full, false)
+	}
+}
+
+//go:noinline
+func badRoot(op opID, root int) {
+	panic(fmt.Sprintf("mpi: %s root %d out of range", collOpNames[op], root))
+}
+
+// pick selects one collective call's algorithm and counts the
+// operation once per call, on the communicator's rank 0.
+//
+//go:noinline
+func (c *Comm) pick(r *Rank, op opID, a CollArgs) *CollAlgo {
+	al := c.w.selectColl(op, c.isWorld, c.Size(), a)
 	if c.Rank(r) == 0 {
 		r.net.CollOp(al.full)
 	}
-	switch {
-	case al.HW:
-		c.sync(r, key, nil, uniformFinisher(func() sim.Duration { return al.Dur(c, a) }))
-	case c.w.cfg.AnalyticCollectives:
-		c.sync(r, key, nil, uniformFinisher(func() sim.Duration { return collAnalytic(c, op, a) }))
-	default:
-		prev := r.collAlgo
-		r.collAlgo = al.full
-		al.Run(c, r, key, a)
-		r.collAlgo = prev
-	}
+	return al
+}
+
+// gateColl runs a hardware offload or a closed-form collective: the
+// rank enters the call's gate, which releases every member at the last
+// arrival plus the collective's duration.
+func (c *Comm) gateColl(r *Rank, seq int, op opID, al *CollAlgo, a CollArgs) {
+	call := c.uniformCall(r, seq, op, al, a)
 	if r.pb != nil {
-		probeColl(r, key, al.full, false)
+		probeColl(r, call.key, al.full, true)
+	}
+	c.sync(r, call, nil)
+	if r.pb != nil {
+		probeColl(r, call.key, al.full, false)
 	}
 }
 

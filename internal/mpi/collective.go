@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"bgpsim/internal/machine"
 	"bgpsim/internal/sim"
 )
@@ -46,9 +44,6 @@ func (c *Comm) Barrier(r *Rank) {
 // world communicator the stock table rides the hardware collective
 // tree.
 func (c *Comm) Bcast(r *Rank, root, bytes int) {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: bcast root %d out of range", root))
-	}
 	c.runColl(r, opBcast, CollArgs{Root: root, Bytes: bytes})
 }
 
@@ -64,9 +59,6 @@ func (c *Comm) Allreduce(r *Rank, bytes int, doublePrecision bool) {
 // Reduce combines a buffer to communicator rank root (stock table: a
 // binomial tree, or the hardware tree for eligible world reductions).
 func (c *Comm) Reduce(r *Rank, root, bytes int, doublePrecision bool) {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: reduce root %d out of range", root))
-	}
 	c.runColl(r, opReduce, CollArgs{Root: root, Bytes: bytes, Double: doublePrecision})
 }
 
@@ -85,9 +77,6 @@ func (c *Comm) Alltoall(r *Rank, bytesPerPair int) {
 // Gather collects bytesPerRank from every member at root (stock
 // table: a binomial tree with subtree aggregation).
 func (c *Comm) Gather(r *Rank, root, bytesPerRank int) {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: gather root %d out of range", root))
-	}
 	c.runColl(r, opGather, CollArgs{Root: root, Bytes: bytesPerRank})
 }
 

@@ -6,9 +6,6 @@ import "fmt"
 // every member (stock table: a binomial tree; subtree chunks travel
 // together).
 func (c *Comm) Scatter(r *Rank, root, bytesPerRank int) {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: scatter root %d out of range", root))
-	}
 	c.runColl(r, opScatter, CollArgs{Root: root, Bytes: bytesPerRank})
 }
 

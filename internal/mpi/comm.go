@@ -69,19 +69,35 @@ func newComm(w *World, name string, members []int, epoch int) *Comm {
 }
 
 // nextKey returns a unique key for the rank's next collective on this
-// communicator. MPI requires all members to issue collectives in the
-// same order, so the per-member sequence numbers agree. A rank that is
-// not a member panics: it has no sequence, and its entry would corrupt
-// the members' gate. Built by hand rather than with fmt: this runs once
-// per rank per collective, and fmt's deep call stack forces a stack
-// grow on every fresh rank coroutine.
+// communicator (see nextSeq and key).
 func (c *Comm) nextKey(r *Rank, kind string) string {
+	return c.key(c.nextSeq(r), kind)
+}
+
+// nextSeq returns the rank's sequence number for its next collective
+// on this communicator. MPI requires all members to issue collectives
+// in the same order, so the per-member sequence numbers agree. A rank
+// that is not a member panics: it has no sequence, and its entry would
+// corrupt the members' gate.
+func (c *Comm) nextSeq(r *Rank) int {
 	i := c.Rank(r)
 	if i < 0 {
-		panic(fmt.Sprintf("mpi: rank %d is not a member of communicator %q", r.id, c.name))
+		c.notMember(r)
 	}
 	seq := c.seq[i]
 	c.seq[i] = seq + 1
+	return seq
+}
+
+//go:noinline
+func (c *Comm) notMember(r *Rank) {
+	panic(fmt.Sprintf("mpi: rank %d is not a member of communicator %q", r.id, c.name))
+}
+
+// key builds the matching key of collective number seq on this
+// communicator. Built by hand rather than with fmt, whose deep call
+// stack would run past the rank stack budget.
+func (c *Comm) key(seq int, kind string) string {
 	b := make([]byte, 0, len(c.name)+len(kind)+8)
 	b = append(b, c.name...)
 	b = append(b, '#')
@@ -91,44 +107,116 @@ func (c *Comm) nextKey(r *Rank, kind string) string {
 	return string(b)
 }
 
+// gateCall is one collective call as its gate sees it: the matching
+// key and what the gate's finisher is built from. fin, when set, is a
+// custom release rule (Split, the recovery agreement gates); otherwise
+// the gate releases every member at the last arrival plus the call's
+// duration — the hardware offload's (al) or, with al nil, op's closed
+// form — computed once, when the gate completes.
+type gateCall struct {
+	c   *Comm
+	key string
+	fin finisher
+	al  *CollAlgo
+	op  opID
+	a   CollArgs
+	seq int
+
+	// gate is the call's open gate once known, so most entrants skip
+	// the lookup in World.gates (see openGate).
+	gate *gate
+}
+
+// uniformCall returns the gate record of r's collective number seq on
+// c. The ranks of one shard — or of a serial run — share the record of
+// their latest collective, so only the first of them to enter builds
+// it (newUniformCall): the key string is made once per shard per
+// collective, not once per rank, and the entry path below the rank's
+// collective call neither allocates nor hashes.
+func (c *Comm) uniformCall(r *Rank, seq int, op opID, al *CollAlgo, a CollArgs) *gateCall {
+	last := &c.w.lastCall
+	if r.sh != nil {
+		last = &r.sh.lastCall
+	}
+	if g := *last; g != nil && g.c == c && g.seq == seq && g.op == op {
+		return g
+	}
+	return c.newUniformCall(last, seq, op, al, a)
+}
+
+// newUniformCall builds and caches a uniform gate record; it is kept
+// out of uniformCall because it allocates (rank stack budget,
+// docs/PERFORMANCE.md).
+//
+//go:noinline
+func (c *Comm) newUniformCall(last **gateCall, seq int, op opID, al *CollAlgo, a CollArgs) *gateCall {
+	if !al.HW {
+		al = nil
+	}
+	g := &gateCall{c: c, key: c.key(seq, collOpNames[op]), al: al, op: op, a: a, seq: seq}
+	*last = g
+	return g
+}
+
 // gate synchronizes the members of one collective operation. Ranks
-// enter with a value; when the last member arrives, the finisher
-// computes each member's release time (and optionally a shared
-// result), and everyone resumes at their release time. Each member
-// enters once: its collective key carries its own sequence number on
-// the communicator (nextKey).
+// enter with a value; when the last member arrives, the call's
+// finisher computes each member's release time (and optionally a
+// shared result), and everyone resumes at their release time. Each
+// member enters once: its collective key carries its own sequence
+// number on the communicator (nextKey).
 type gate struct {
-	c      *Comm
-	fin    finisher
+	call   *gateCall
 	need   int
+	closed bool // completed or abandoned; no member enters again
 	ranks  []*Rank
 	times  []sim.Time
-	vals   []interface{}
+	vals   []interface{} // entry values, kept only for a custom finisher
 	result interface{}
 }
 
-// newGate opens a gate on c whose entry slices are sized for its
+// newGate opens a gate for call whose entry slices are sized for its
 // quorum, the communicator's live membership.
-func newGate(c *Comm, fin finisher) *gate {
-	need := c.liveSize()
-	return &gate{
-		c:     c,
-		fin:   fin,
+func newGate(call *gateCall) *gate {
+	need := call.c.liveSize()
+	g := &gate{
+		call:  call,
 		need:  need,
 		ranks: make([]*Rank, 0, need),
 		times: make([]sim.Time, 0, need),
-		vals:  make([]interface{}, 0, need),
 	}
+	if call.fin != nil {
+		g.vals = make([]interface{}, 0, need)
+	}
+	return g
+}
+
+// openGate returns call's open gate, creating it on first entry.
+// Entrants holding another record of the same call (another shard's,
+// or a serial record rebuilt after an interleaved collective) find it
+// by key.
+func (w *World) openGate(call *gateCall) *gate {
+	if g := call.gate; g != nil && !g.closed {
+		return g
+	}
+	g, ok := w.gates[call.key]
+	if !ok {
+		g = newGate(call)
+		w.gates[call.key] = g
+	}
+	call.gate = g
+	return g
 }
 
 // enter adds one member's arrival and completes the gate when the
 // quorum is reached.
-func (g *gate) enter(key string, r *Rank, t sim.Time, val interface{}) {
+func (g *gate) enter(r *Rank, t sim.Time, val interface{}) {
 	g.ranks = append(g.ranks, r)
 	g.times = append(g.times, t)
-	g.vals = append(g.vals, val)
+	if g.vals != nil {
+		g.vals = append(g.vals, val)
+	}
 	if len(g.ranks) == g.need {
-		g.c.w.completeGate(key, g)
+		g.call.c.w.completeGate(g)
 	}
 }
 
@@ -136,20 +224,16 @@ func (g *gate) enter(key string, r *Rank, t sim.Time, val interface{}) {
 // may also return a shared result value.
 type finisher func(ranks []*Rank, times []sim.Time, vals []interface{}) (release []sim.Time, result interface{})
 
-// sync enters the calling rank into the gate for the given collective
-// key and blocks until released. It returns the finisher's shared
+// sync enters the calling rank into the gate of the given collective
+// call and blocks until released. It returns the finisher's shared
 // result.
-func (c *Comm) sync(r *Rank, key string, val interface{}, fin finisher) interface{} {
+func (c *Comm) sync(r *Rank, call *gateCall, val interface{}) interface{} {
 	if r.sh != nil {
-		return c.syncShard(r, key, val, fin)
+		return c.syncShard(r, call, val)
 	}
-	g, ok := c.w.gates[key]
-	if !ok {
-		g = newGate(c, fin)
-		c.w.gates[key] = g
-	}
-	g.enter(key, r, r.proc.Now(), val)
-	r.proc.BlockWith("collective ", key)
+	g := c.w.openGate(call)
+	g.enter(r, r.proc.Now(), val)
+	r.proc.BlockWith("collective ", call.key)
 	if r.gateDropped {
 		// Removed from an open gate by failNode: unwind out of the
 		// collective instead of consuming its (possibly absent) result.
@@ -168,12 +252,20 @@ func (c *Comm) sync(r *Rank, key string, val interface{}, fin finisher) interfac
 // arrival is now and every finisher releases at or after it, but gate
 // repair (failNode) can complete a gate whose surviving entrants all
 // arrived in the past.
-func (w *World) completeGate(key string, g *gate) {
-	release, result := g.fin(g.ranks, g.times, g.vals)
-	g.result = result
+func (w *World) completeGate(g *gate) {
+	var release []sim.Time
+	var end sim.Time
+	if fin := g.call.fin; fin != nil {
+		release, g.result = fin(g.ranks, g.times, g.vals)
+	} else {
+		end = g.uniformEnd()
+	}
 	now := w.now()
 	for i, rr := range g.ranks {
-		t := release[i]
+		t := end
+		if release != nil {
+			t = release[i]
+		}
 		if t < now {
 			t = now
 		}
@@ -181,32 +273,35 @@ func (w *World) completeGate(key string, g *gate) {
 			// Sharded entrant: hand the result over directly (the gate
 			// object is deleted before the rank resumes on its shard
 			// kernel) and lift the shard's window cap.
-			rr.gateResult = result
+			rr.gateResult = g.result
 			rr.sh.blockedGates--
 		}
 		rr.proc.WakeAt(t)
 	}
-	delete(w.gates, key)
+	w.closeGate(g)
 }
 
-// uniformFinisher releases every member at last-arrival + d(). The
-// duration is computed lazily, exactly once, when the last member
-// arrives (so hardware-offload accounting counts one operation).
-func uniformFinisher(d func() sim.Duration) finisher {
-	return func(ranks []*Rank, times []sim.Time, _ []interface{}) ([]sim.Time, interface{}) {
-		var last sim.Time
-		for _, t := range times {
-			if t > last {
-				last = t
-			}
+// closeGate retires a completed or abandoned gate.
+func (w *World) closeGate(g *gate) {
+	g.closed = true
+	delete(w.gates, g.call.key)
+}
+
+// uniformEnd is the uniform release: the last arrival plus the call's
+// duration, computed exactly once, when the gate completes (so
+// hardware-offload accounting counts one operation).
+func (g *gate) uniformEnd() sim.Time {
+	var last sim.Time
+	for _, t := range g.times {
+		if t > last {
+			last = t
 		}
-		release := make([]sim.Time, len(times))
-		end := last.Add(d())
-		for i := range release {
-			release[i] = end
-		}
-		return release, nil
 	}
+	c := g.call
+	if c.al != nil {
+		return last.Add(c.al.Dur(c.c, c.a))
+	}
+	return last.Add(collAnalytic(c.c, c.op, c.a))
 }
 
 // Split partitions the communicator by color, ordering each new
@@ -266,7 +361,7 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	if r.pb != nil {
 		probeColl(r, gk, "split", true)
 	}
-	res := c.sync(r, gk, ck{color, key, r.id}, fin)
+	res := c.sync(r, &gateCall{c: c, key: gk, fin: fin}, ck{color, key, r.id})
 	if r.pb != nil {
 		probeColl(r, gk, "split", false)
 	}

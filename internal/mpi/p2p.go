@@ -8,29 +8,32 @@ import (
 
 // message is an in-flight transfer. For eager sends it represents the
 // data itself; for rendezvous sends it is the ready-to-send header and
-// the data transfer starts when the receiver matches it.
+// the data transfer starts when the receiver matches it. The message
+// embeds the sender's request and carries its own event callback, so a
+// send allocates twice, in the send's entry frame (isendFrac) and the
+// frame below it (isend); nothing deeper allocates (see "rank stack
+// budget" in docs/PERFORMANCE.md).
 type message struct {
-	src, dst int // world rank ids
-	tag      int
-	collKey  string // non-empty for collective-internal traffic
-	bytes    int
-	payload  interface{}
-	eager    bool
-	sender   *Request // rendezvous: the sender's blocked request
-	sentAt   sim.Time // send time, for probe match edges (probe runs only)
+	req     Request // the sender's request: sender, dst, tag, collKey, protocol
+	bytes   int
+	payload interface{}
+	sentAt  sim.Time // send time, for probe match edges (probe runs only)
+	recv    *Request // the matched receive, once a rendezvous header is matched
+	fire    func()   // the message's event callback: see step
 }
 
 // Request is a handle for a non-blocking operation.
 type Request struct {
 	r       *Rank
-	isRecv  bool
 	src     int // matching source (receives)
 	dst     int // destination rank (sends), for orphan cancellation
 	tag     int
 	collKey string
+	msg     *message // matched message (receives)
+	isRecv  bool
 	done    bool
 	waiting bool
-	msg     *message // matched message (receives)
+	eager   bool // sends: the message went eagerly, without a rendezvous
 }
 
 // Done reports whether the operation has completed.
@@ -57,7 +60,9 @@ func (r *Rank) swOverhead() sim.Duration {
 // Send transmits bytes to rank dst with the given tag and blocks until
 // the send buffer is reusable: immediately after local processing for
 // eager messages, after the full transfer for rendezvous messages.
-func (r *Rank) Send(dst, bytes, tag int) { r.sendPayload(dst, bytes, tag, "", nil) }
+func (r *Rank) Send(dst, bytes, tag int) {
+	r.waitNoOverhead(r.isendFrac(dst, bytes, tag, 1))
+}
 
 // SendPayload is Send carrying an arbitrary value, used by tests and
 // by programs that need to move model data between ranks.
@@ -70,82 +75,183 @@ func (r *Rank) sendPayload(dst, bytes, tag int, collKey string, payload interfac
 	r.waitNoOverhead(req)
 }
 
-// Isend starts a non-blocking send and returns its request.
+// Isend starts a non-blocking send and returns its request. Its body
+// is isendFrac's, spelled out so that it, too, inlines into the caller.
 func (r *Rank) Isend(dst, bytes, tag int) *Request {
-	return r.isendPayload(dst, bytes, tag, "", nil)
+	m := &message{bytes: bytes}
+	r.isend(m, dst, tag, 1)
+	return &m.req
 }
 
+// isendFrac starts a plain point-to-point send with a scaled
+// sender-side software cost (persistent channels pay a reduced
+// overhead). It allocates the message, which embeds the send's
+// request, and is small enough to inline, so the allocation happens in
+// the calling entry point's frame, the shallowest point of the send
+// (see "rank stack budget" in docs/PERFORMANCE.md).
+func (r *Rank) isendFrac(dst, bytes, tag int, overheadFrac float64) *Request {
+	m := &message{bytes: bytes}
+	r.isend(m, dst, tag, overheadFrac)
+	return &m.req
+}
+
+// isendPayload is isendFrac at the full software cost for collective
+// traffic (collKey set) and payload-carrying sends.
 func (r *Rank) isendPayload(dst, bytes, tag int, collKey string, payload interface{}) *Request {
-	return r.isendFrac(dst, bytes, tag, collKey, payload, 1.0)
+	m := &message{bytes: bytes, payload: payload}
+	m.req.collKey = collKey
+	r.isend(m, dst, tag, 1)
+	return &m.req
 }
 
-// isendFrac is isendPayload with a scaled sender-side software cost
-// (persistent channels pay a reduced overhead).
-func (r *Rank) isendFrac(dst, bytes, tag int, collKey string, payload interface{}, overheadFrac float64) *Request {
+// isend validates a new send to dst, charges the sender-side software
+// cost and puts the message on the wire. It allocates the message's
+// 16-byte callback: one frame below the entry is still shallow, and
+// leaving it to the entry points would push them past the inlining
+// budget.
+func (r *Rank) isend(m *message, dst, tag int, overheadFrac float64) {
+	m.req.r, m.req.dst, m.req.tag = r, dst, tag
+	m.fire = m.step
 	if r.dead && r.collAlgo == "" {
 		killRank()
 	}
 	if r.floor != 0 {
 		r.applyFloor()
 	}
-	if dst < 0 || dst >= len(r.w.ranks) {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
+	if uint(dst) >= uint(len(r.w.ranks)) {
+		badSend(dst, 0)
 	}
-	if bytes < 0 {
-		panic(fmt.Sprintf("mpi: negative send size %d", bytes))
+	if m.bytes < 0 {
+		badSend(dst, m.bytes)
 	}
 	r.proc.Sleep(sim.Duration(float64(r.swOverhead()) * overheadFrac)) // sender-side software cost
-	if collKey != "" && r.collAlgo != "" {
-		// Per-algorithm traffic attribution: one logical message with
-		// its full payload, regardless of eager/rendezvous split.
-		r.net.CollMessage(r.collAlgo, bytes)
+	if m.req.collKey != "" && r.collAlgo != "" {
+		collTraffic(r, m.bytes)
 	}
-	dstRank := r.w.ranks[dst]
-	req := &Request{r: r, dst: dst, tag: tag, collKey: collKey}
-	msg := &message{src: r.id, dst: dst, tag: tag, collKey: collKey,
-		bytes: bytes, payload: payload, sender: req}
 	if r.pb != nil {
-		msg.sentAt = r.proc.Now()
-		probeSend(r, dst, bytes, tag, collKey != "")
+		m.sentAt = r.proc.Now()
+		probeSend(r, m)
 	}
-	wireBytes := bytes
-	if bytes > r.w.mach.EagerLimit {
-		// Rendezvous: only a small header travels now; the data moves
-		// when the receiver matches it, and the request completes then.
-		wireBytes = 0
+	r.dispatch(m)
+}
+
+// dispatch puts a new message on the wire and schedules its arrival.
+// An eager message's request completes at once; a rendezvous header
+// carries no data, and its request completes when the receiver's bulk
+// transfer lands.
+func (r *Rank) dispatch(m *message) {
+	wireBytes := m.bytes
+	if m.bytes <= r.w.mach.EagerLimit {
+		m.req.eager = true
+		m.req.done = true // buffer reusable immediately
 	} else {
-		msg.eager = true
-		req.done = true // buffer reusable immediately
+		wireBytes = 0
 	}
-	arrival, err := r.net.P2P(r.proc.Now(), r.place.Node, dstRank.place.Node, wireBytes)
+	dst := r.w.ranks[m.req.dst]
+	arrival, err := r.net.P2P(r.proc.Now(), r.place.Node, dst.place.Node, wireBytes)
 	if err != nil {
-		// The failed links partition the torus between the two ranks:
-		// the program cannot proceed. Surface the typed topology error
-		// from World.Run.
-		sim.Fail(fmt.Errorf("mpi: rank %d send to rank %d: %w", r.id, dst, err))
+		failSend(r, m.req.dst, err)
 	}
 	// The delivery's canonical ordering key is the sender's: the stamp
 	// is drawn here, at send time, so the delivery sorts at the same
 	// same-timestamp position on the destination kernel whether it is
 	// scheduled locally or carried through the inter-shard mailbox.
 	stamp := r.proc.NextStamp()
-	if r.logSend && collKey == "" {
-		// Sender-based message logging: retain the envelope (not the
-		// payload) so a later restart of the destination can replay the
-		// message stream in canonical (creator rank, stamp) order. One
-		// append behind one bool — the logging-off hot path is unchanged.
-		c := r.coldState()
-		c.sentLog = append(c.sentLog, logEnv{dst: dst, bytes: bytes, stamp: stamp, sentAt: r.proc.Now()})
+	if r.logSend && m.req.collKey == "" {
+		logSent(r, m, stamp)
 	}
-	if dstRank.sh != nil && dstRank.sh != r.sh {
+	if dst.sh != r.sh {
 		// Cross-shard: the arrival lies at least one torus-hop latency
 		// (the lookahead) past now, so it is beyond the current window
 		// and safe to insert at the next barrier.
-		r.sh.mail(arrival, r.id, stamp, dstRank.sh, func() { dstRank.deliver(msg) }, false)
-	} else {
-		r.k.AtTagged(arrival, r.id, stamp, func() { dstRank.deliver(msg) })
+		mailFire(r, dst, arrival, stamp, m)
+		return
 	}
-	return req
+	r.k.AtTagged(arrival, r.id, stamp, m.fire)
+}
+
+// mailFire queues a message's callback for another shard's kernel. It
+// is kept out of line so its argument spill stays off the frames of
+// dispatch and rendezvous (rank stack budget, docs/PERFORMANCE.md).
+//
+//go:noinline
+func mailFire(r, dst *Rank, t sim.Time, stamp uint64, m *message) {
+	r.sh.mail(xmail{t: t, src: r.id, stamp: stamp, dst: dst.sh, fn: m.fire})
+}
+
+// mailSendDone queues a cross-shard rendezvous sender's completion for
+// the sender's shard (see xmail.sendDone).
+//
+//go:noinline
+func mailSendDone(r, src *Rank, t sim.Time, m *message) {
+	r.sh.mail(xmail{t: t, src: r.id, stamp: r.proc.NextStamp(), dst: src.sh, sendDone: m})
+}
+
+// step is the message's event callback, allocated with it. It first
+// fires at the wire arrival and delivers the message; a matched
+// rendezvous fires it again when the bulk transfer lands, completing
+// the receive and — when both ranks share a kernel — the send.
+func (m *message) step() {
+	q := m.recv
+	if q == nil {
+		m.req.r.w.ranks[m.req.dst].deliver(m)
+		return
+	}
+	q.r.completeRecv(q)
+	if m.req.r.sh == q.r.sh {
+		m.completeSend()
+	}
+}
+
+// completeSend completes a rendezvous sender's request.
+func (m *message) completeSend() {
+	sq := &m.req
+	sq.done = true
+	if sq.waiting {
+		sq.r.proc.Wake()
+	}
+}
+
+// badSend, failSend, collTraffic and logSent keep the send's cold
+// branches — the fmt panics, the link-failure error, the per-algorithm
+// traffic map and the sender log — off the isendFrac and dispatch
+// frames, which sit on every rank coroutine's deepest path and must fit
+// the rank stack budget (docs/PERFORMANCE.md).
+//
+//go:noinline
+func badSend(dst, bytes int) {
+	if bytes >= 0 {
+		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
+	}
+	panic(fmt.Sprintf("mpi: negative send size %d", bytes))
+}
+
+// failSend surfaces a send whose failed links partition the torus
+// between the two ranks: the program cannot proceed, so the typed
+// topology error unwinds to World.Run.
+//
+//go:noinline
+func failSend(r *Rank, dst int, err error) {
+	sim.Fail(fmt.Errorf("mpi: rank %d send to rank %d: %w", r.id, dst, err))
+}
+
+// collTraffic attributes one collective-internal message, with its
+// full payload regardless of the eager/rendezvous split, to the active
+// software collective.
+//
+//go:noinline
+func collTraffic(r *Rank, bytes int) {
+	r.net.CollMessage(r.collAlgo, bytes)
+}
+
+// logSent is sender-based message logging: it retains the envelope (not
+// the payload) so a later restart of the destination can replay the
+// message stream in canonical (creator rank, stamp) order.
+//
+//go:noinline
+func logSent(r *Rank, m *message, stamp uint64) {
+	c := r.coldState()
+	c.sentLog = append(c.sentLog, logEnv{dst: m.req.dst, bytes: m.bytes, stamp: stamp, sentAt: r.proc.Now()})
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
@@ -165,44 +271,74 @@ func (r *Rank) RecvPayload(src, tag int) (int, interface{}) {
 
 // Irecv posts a non-blocking receive for (src, tag).
 func (r *Rank) Irecv(src, tag int) *Request {
-	return r.irecv(src, tag, "")
+	q := &Request{r: r, isRecv: true, src: src, dst: -1, tag: tag}
+	r.post(q)
+	return q
 }
 
+// irecv allocates a receive's request — its only allocation — and is
+// small enough to inline, so the allocation happens in the caller's
+// frame; posting it (post) allocates nothing while the receive fits the
+// rank's inline posted buffer.
 func (r *Rank) irecv(src, tag int, collKey string) *Request {
+	q := &Request{r: r, isRecv: true, src: src, dst: -1, tag: tag, collKey: collKey}
+	r.post(q)
+	return q
+}
+
+// post matches a new receive against the queued arrivals or queues it.
+func (r *Rank) post(q *Request) {
 	if r.dead && r.collAlgo == "" {
 		killRank()
 	}
 	if r.floor != 0 {
 		r.applyFloor()
 	}
-	req := &Request{r: r, isRecv: true, src: src, dst: -1, tag: tag, collKey: collKey}
 	if r.pb != nil {
-		probeRecvPost(r, src, tag)
+		probeRecvPost(r, q.src, q.tag)
 	}
-	// Try the inbox first (first matching arrival wins).
+	if m := r.takeArrived(q); m != nil {
+		r.matched(q, m)
+		return
+	}
+	r.queue(q)
+}
+
+// takeArrived removes and returns the first queued arrival matching q,
+// nil when none has arrived. It and queue stay out of line so their
+// slice-shuffling frames are not under post when a match starts a
+// rendezvous (rank stack budget, docs/PERFORMANCE.md).
+//
+//go:noinline
+func (r *Rank) takeArrived(q *Request) *message {
 	for i, m := range r.inbox {
-		if req.matches(m) {
+		if q.matches(m) {
 			r.inbox = append(r.inbox[:i], r.inbox[i+1:]...)
-			r.matched(req, m)
-			return req
+			return m
 		}
 	}
-	r.posted = append(r.posted, req)
+	return nil
+}
+
+// queue queues an unmatched receive.
+//
+//go:noinline
+func (r *Rank) queue(q *Request) {
+	r.posted = append(r.posted, q)
 	if len(r.posted) > r.peakPosted {
 		r.peakPosted = len(r.posted)
 	}
-	return req
 }
 
 // matches reports whether message m satisfies receive request q.
 func (q *Request) matches(m *message) bool {
-	if q.collKey != m.collKey {
+	if q.collKey != m.req.collKey {
 		return false
 	}
-	if q.src != AnySource && q.src != m.src {
+	if q.src != AnySource && q.src != m.req.r.id {
 		return false
 	}
-	if q.tag != AnyTag && q.tag != m.tag {
+	if q.tag != AnyTag && q.tag != m.req.tag {
 		return false
 	}
 	return true
@@ -211,7 +347,7 @@ func (q *Request) matches(m *message) bool {
 // deliver runs at a message's wire arrival time on the destination
 // rank (eager data or rendezvous header).
 func (r *Rank) deliver(m *message) {
-	if r.dead && r.w.cancelP2P && m.collKey == "" {
+	if r.dead && r.w.cancelP2P && m.req.collKey == "" {
 		// Orphan cancellation: a user message arriving at a dead rank is
 		// never matched; NACK a rendezvous sender so its wait completes.
 		r.cancelDelivery(m)
@@ -232,55 +368,54 @@ func (r *Rank) deliver(m *message) {
 
 // matched pairs receive request q with message m. Eager data is
 // complete on the spot; a rendezvous match starts the bulk transfer.
+// It runs in the delivery callback, or on the receiving rank's stack
+// when the receive finds the header already queued.
 func (r *Rank) matched(q *Request, m *message) {
 	q.msg = m
 	if r.pb != nil {
 		probeMatch(r, m)
 	}
-	if m.eager {
+	if m.req.eager {
 		r.completeRecv(q)
 		return
 	}
-	// Rendezvous: clear-to-send handshake, then the bulk transfer.
-	now := r.k.Now()
-	start := now.Add(sim.Seconds(r.w.mach.RendezvousRTT))
-	srcRank := r.w.ranks[m.src]
-	done, err := r.net.P2P(start, srcRank.place.Node, r.place.Node, m.bytes)
+	r.rendezvous(q, m)
+}
+
+// rendezvous runs the clear-to-send handshake and schedules the bulk
+// transfer's completion, reusing the message's own callback (step), so
+// a match allocates nothing. Both completion events are created on the
+// receiver's behalf, so their canonical keys come from the receiver's
+// counter.
+func (r *Rank) rendezvous(q *Request, m *message) {
+	start := r.k.Now().Add(sim.Seconds(r.w.mach.RendezvousRTT))
+	src := m.req.r
+	done, err := r.net.P2P(start, src.place.Node, r.place.Node, m.bytes)
 	if err != nil {
-		// matched runs inside an event callback, not a rank process, so
-		// abort the kernel directly instead of sim.Fail.
-		r.k.Abort(fmt.Errorf("mpi: rank %d bulk transfer from rank %d: %w", r.id, m.src, err))
+		failBulk(r, m, err)
 		return
 	}
-	// Both completion events are created on the receiver's behalf (this
-	// runs inside the delivery callback, outside any process body), so
-	// their canonical keys come from the receiver's counter.
-	if srcRank.sh != nil && srcRank.sh != r.sh {
-		// Cross-shard rendezvous: complete the receive locally, and mail
-		// the sender-side completion to the sender's shard now. done is
-		// at least one lookahead past the match time, so the mail is
-		// insertable at the next barrier even if this shard stalls
+	m.recv = q
+	r.k.AtTagged(done, r.id, r.proc.NextStamp(), m.fire)
+	if src.sh != r.sh {
+		// Cross-shard rendezvous: step completes the receive locally, and
+		// the sender-side completion is mailed to the sender's shard now.
+		// done is at least one lookahead past the match time, so the mail
+		// is insertable at the next barrier even if this shard stalls
 		// before the local completion event fires. The mail is an
 		// auxiliary event (serial completes both sides in one event), so
 		// it is excluded from the event count.
-		r.k.AtTagged(done, r.id, r.proc.NextStamp(), func() { r.completeRecv(q) })
-		r.sh.mail(done, r.id, r.proc.NextStamp(), srcRank.sh, func() {
-			sq := m.sender
-			sq.done = true
-			if sq.waiting {
-				sq.r.proc.Wake()
-			}
-		}, true)
-		return
+		mailSendDone(r, src, done, m)
 	}
-	r.k.AtTagged(done, r.id, r.proc.NextStamp(), func() {
-		r.completeRecv(q)
-		sq := m.sender
-		sq.done = true
-		if sq.waiting {
-			sq.r.proc.Wake()
-		}
-	})
+}
+
+// failBulk aborts the run on a bulk transfer whose failed links
+// partition the torus. It may run inside an event callback rather than
+// a rank process, so it aborts the kernel directly instead of sim.Fail.
+//
+//go:noinline
+func failBulk(r *Rank, m *message, err error) {
+	r.k.Abort(fmt.Errorf("mpi: rank %d bulk transfer from rank %d: %w", r.id, m.req.r.id, err))
 }
 
 func (r *Rank) completeRecv(q *Request) {
@@ -302,7 +437,7 @@ func (r *Rank) Wait(q *Request) {
 func (r *Rank) waitNoOverhead(q *Request) {
 	if err := r.waitErrNoOverhead(q); err != nil {
 		// The plain blocking API has no error channel: unwind the rank
-		// (recovered in Rank.run, surfaced through Result.PeerLost).
+		// (recovered in Rank.unwound, surfaced through Result.PeerLost).
 		r.peerLostUnwind(err)
 	}
 }
@@ -317,7 +452,7 @@ func (r *Rank) Waitall(qs ...*Request) {
 // Sendrecv performs a combined send and receive (the halo-exchange
 // staple) and returns the received byte count.
 func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
-	sreq := r.isendPayload(dst, sendBytes, sendTag, "", nil)
+	sreq := r.isendFrac(dst, sendBytes, sendTag, 1)
 	rreq := r.irecv(src, recvTag, "")
 	r.Wait(rreq)
 	r.waitNoOverhead(sreq)
@@ -330,8 +465,8 @@ func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
 // discipline as probeColl).
 //
 //go:noinline
-func probeSend(r *Rank, dst, bytes, tag int, coll bool) {
-	r.pb.Send(r.id, r.proc.Now(), dst, bytes, tag, coll)
+func probeSend(r *Rank, m *message) {
+	r.pb.Send(r.id, r.proc.Now(), m.req.dst, m.bytes, m.req.tag, m.req.collKey != "")
 }
 
 //go:noinline
@@ -341,13 +476,13 @@ func probeRecvPost(r *Rank, src, tag int) {
 
 //go:noinline
 func probeMatch(r *Rank, m *message) {
-	r.pb.Match(r.id, r.k.Now(), m.src, m.sentAt, m.bytes, m.tag, m.collKey != "")
+	r.pb.Match(r.id, r.k.Now(), m.req.r.id, m.sentAt, m.bytes, m.req.tag, m.req.collKey != "")
 }
 
 // sendColl / recvColl are the collective-internal variants keyed so
 // collective traffic can never match user receives.
 func (r *Rank) sendColl(dst, bytes int, key string) {
-	r.sendPayload(dst, bytes, 0, key, nil)
+	r.waitNoOverhead(r.isendPayload(dst, bytes, 0, key, nil))
 }
 
 func (r *Rank) recvColl(src int, key string) {

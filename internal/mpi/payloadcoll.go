@@ -111,7 +111,7 @@ func (c *Comm) gatherPayload(r *Rank, root, bytesPerRank int, value interface{})
 	for i := 0; i < p-1; i++ {
 		q := r.irecv(AnySource, AnyTag, key)
 		r.Wait(q)
-		out[c.Rank(r.w.ranks[q.msg.src])] = q.Payload()
+		out[c.Rank(q.msg.req.r)] = q.Payload()
 	}
 	return out
 }

@@ -27,10 +27,18 @@ const persistentOverheadFrac = 0.6
 
 // SendInit creates a persistent send channel to dst.
 func (r *Rank) SendInit(dst, bytes, tag int) *PersistentRequest {
-	if dst < 0 || dst >= len(r.w.ranks) {
-		panic(fmt.Sprintf("mpi: SendInit to invalid rank %d", dst))
+	if uint(dst) >= uint(len(r.w.ranks)) {
+		badSendInit(dst)
 	}
 	return &PersistentRequest{r: r, peer: dst, bytes: bytes, tag: tag}
+}
+
+// badSendInit keeps SendInit's panic out of line so SendInit stays
+// small enough to inline, allocating in its caller's frame.
+//
+//go:noinline
+func badSendInit(dst int) {
+	panic(fmt.Sprintf("mpi: SendInit to invalid rank %d", dst))
 }
 
 // RecvInit creates a persistent receive channel from src.
@@ -48,7 +56,7 @@ func (p *PersistentRequest) Start() {
 		p.active = p.r.irecv(p.peer, p.tag, "")
 		return
 	}
-	p.active = p.r.isendFrac(p.peer, p.bytes, p.tag, "", nil, persistentOverheadFrac)
+	p.active = p.r.isendFrac(p.peer, p.bytes, p.tag, persistentOverheadFrac)
 }
 
 // Wait completes the active round. Persistent receives pay the reduced

@@ -39,6 +39,11 @@ type Rank struct {
 	inbox  []*message // arrived eager data / rendezvous headers, unmatched
 	posted []*Request // posted receives, unmatched
 
+	// postedBuf backs posted until a rank has more than two receives
+	// outstanding, so posting the usual one or two receives of an
+	// exchange never allocates on the rank's stack.
+	postedBuf [2]*Request
+
 	// Peak lengths of inbox and posted, for the per-rank memory model.
 	peakInbox  int
 	peakPosted int
@@ -106,6 +111,7 @@ func newRank(w *World, id int, place topology.Placement) *Rank {
 		pb:    w.pb,
 		rng:   *sim.NewRNG(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
 	}
+	r.posted = r.postedBuf[:0]
 	if w.noiseOn {
 		r.noisePhase = w.cfg.Faults.NoisePhase(place.Node, w.noise.Period)
 	}

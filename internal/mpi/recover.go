@@ -7,7 +7,7 @@ package mpi
 //
 //   - Dead ranks unwind their processes at recovery boundaries (the
 //     next compute block, point-to-point call, or collective) via a
-//     rankKilled panic recovered in the per-rank wrapper (Rank.run). A
+//     rankKilled panic recovered in the per-rank wrapper (Rank.unwound). A
 //     rank that dies in the middle of a software collective keeps
 //     participating until the collective's end (r.collAlgo guards the
 //     checks) so that survivors' in-flight rounds complete.
@@ -41,7 +41,7 @@ import (
 	"bgpsim/internal/sim"
 )
 
-// rankKilledPanic unwinds a dead rank's process; the Rank.run wrapper
+// rankKilledPanic unwinds a dead rank's process; the Rank.unwound wrapper
 // recovers it and records the rank as lost instead of failing the run.
 type rankKilledPanic struct{}
 
@@ -120,12 +120,12 @@ func (w *World) failNode(nf fault.NodeFault) {
 	for _, k := range keys {
 		g := w.gates[k]
 		g.dropDead()
-		g.need = g.c.liveSize()
+		g.need = g.call.c.liveSize()
 		if len(g.ranks) >= g.need {
 			if g.need > 0 {
-				w.completeGate(k, g)
+				w.completeGate(g)
 			} else {
-				delete(w.gates, k)
+				w.closeGate(g)
 			}
 		}
 	}
@@ -160,19 +160,23 @@ func (g *gate) dropDead() {
 				// its shard's window cap here.
 				r.sh.blockedGates--
 			}
-			r.proc.WakeAt(g.c.w.now())
+			r.proc.WakeAt(g.call.c.w.now())
 			continue
 		}
 		if kept != i {
 			g.ranks[kept] = r
 			g.times[kept] = g.times[i]
-			g.vals[kept] = g.vals[i]
+			if g.vals != nil {
+				g.vals[kept] = g.vals[i]
+			}
 		}
 		kept++
 	}
 	g.ranks = g.ranks[:kept]
 	g.times = g.times[:kept]
-	g.vals = g.vals[:kept]
+	if g.vals != nil {
+		g.vals = g.vals[:kept]
+	}
 }
 
 // liveSize returns the number of surviving members.
@@ -325,7 +329,7 @@ func (c *Comm) runCollRecover(r *Rank, op opID, a CollArgs) {
 	if r.pb != nil {
 		probeColl(r, key, label, true)
 	}
-	dec, _ := c.sync(r, key, nil, w.recoverFinisher(c, op, a)).(*collDecision)
+	dec, _ := c.sync(r, &gateCall{c: c, key: key, fin: w.recoverFinisher(c, op, a)}, nil).(*collDecision)
 	if dec != nil && dec.software {
 		a2 := a
 		a2.Root = dec.root
@@ -367,7 +371,7 @@ func (c *Comm) agreeLive(r *Rank, kind string) *Comm {
 		}
 		return release, lc
 	}
-	lc, _ := c.sync(r, key, nil, fin).(*Comm)
+	lc, _ := c.sync(r, &gateCall{c: c, key: key, fin: fin}, nil).(*Comm)
 	if lc == nil {
 		lc = c.liveComm()
 	}

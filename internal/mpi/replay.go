@@ -14,7 +14,7 @@ package mpi
 //     on a dead peer is woken at death + detection and its wait returns
 //     a typed *PeerLostError: the error-aware API (WaitErr, RecvErr)
 //     hands it to the program; the plain blocking API unwinds the rank
-//     (peerLostPanic, absorbed in Rank.run and surfaced through
+//     (peerLostPanic, absorbed in Rank.unwound and surfaced through
 //     Result.PeerLost). Sends complete silently — an orphaned send
 //     buffer is reusable, as after MPI_Cancel — and are counted in
 //     network.Stats.Orphans. Wildcard (AnySource) receives are never
@@ -68,7 +68,7 @@ func (e *PeerLostError) Error() string {
 }
 
 // peerLostPanic unwinds a rank whose plain (error-unaware) blocking
-// call was cancelled on a dead peer; the Rank.run wrapper absorbs it and
+// call was cancelled on a dead peer; the Rank.unwound wrapper absorbs it and
 // keeps the error for Result.PeerLost.
 type peerLostPanic struct{ err *PeerLostError }
 
@@ -248,17 +248,17 @@ func (r *Rank) unpost(q *Request) {
 // cross-shard as counted mail (the serial kernel spends one event on
 // it too, keeping event counts identical at any shard count).
 func (r *Rank) cancelDelivery(m *message) {
-	if m.eager {
+	if m.req.eager {
 		r.net.RecordOrphan()
 		return
 	}
-	src := r.w.ranks[m.src]
+	src := m.req.r
 	ack, err := r.net.P2P(r.k.Now(), r.place.Node, src.place.Node, 0)
 	if err != nil {
-		r.k.Abort(fmt.Errorf("mpi: rank %d orphan nack to rank %d: %w", r.id, m.src, err))
+		r.k.Abort(fmt.Errorf("mpi: rank %d orphan nack to rank %d: %w", r.id, src.id, err))
 		return
 	}
-	sq := m.sender
+	sq := &m.req
 	fn := func() {
 		if sq.done {
 			return
@@ -271,7 +271,7 @@ func (r *Rank) cancelDelivery(m *message) {
 	}
 	stamp := r.proc.NextStamp()
 	if src.sh != nil && src.sh != r.sh {
-		r.sh.mail(ack, r.id, stamp, src.sh, fn, false)
+		r.sh.mail(xmail{t: ack, src: r.id, stamp: stamp, dst: src.sh, fn: fn})
 	} else {
 		r.k.AtTagged(ack, r.id, stamp, fn)
 	}
@@ -291,7 +291,7 @@ func (w *World) cancelOrphans(victims []*Rank, at sim.Time) {
 	for _, v := range victims {
 		kept := v.inbox[:0]
 		for _, m := range v.inbox {
-			if m.collKey != "" {
+			if m.req.collKey != "" {
 				// Collective-internal rounds complete under the gate
 				// repair in failNode; never cancel them.
 				kept = append(kept, m)
@@ -299,8 +299,8 @@ func (w *World) cancelOrphans(victims []*Rank, at sim.Time) {
 			}
 			orphaned++
 			v.net.RecordOrphan()
-			if !m.eager && !m.sender.done {
-				sq := m.sender
+			if !m.req.eager && !m.req.done {
+				sq := &m.req
 				sq.done = true
 				if sq.waiting {
 					sq.r.proc.WakeAt(cancelAt)

@@ -40,7 +40,9 @@ package mpi
 // keeps skewed workloads progressing.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,28 +59,27 @@ import (
 // creator's canonical key (src, stamp) — the key the event would have
 // carried had it been scheduled locally, so the destination's keyed
 // heap fires it at the same same-timestamp position at any shard
-// count. aux marks bookkeeping events with no serial counterpart
-// (rendezvous sender completions); they are excluded from the event
-// count.
+// count. sendDone, set instead of fn, marks the one bookkeeping event
+// with no serial counterpart — a rendezvous sender's completion — whose
+// callback the coordinator builds at the barrier (off the rank stack
+// that matched the header) and excludes from the event count.
 type xmail struct {
-	t     sim.Time
-	src   int
-	stamp uint64
-	dst   *shard
-	fn    func()
-	aux   bool
+	t        sim.Time
+	src      int
+	stamp    uint64
+	dst      *shard
+	fn       func()
+	sendDone *message
 }
 
 // shardGateEntry is one rank's arrival at a collective gate, logged on
 // its shard during a window and replayed into the serial gate
 // machinery at the barrier.
 type shardGateEntry struct {
-	c   *Comm
-	key string
-	r   *Rank
-	t   sim.Time
-	val interface{}
-	fin finisher
+	call *gateCall
+	r    *Rank
+	t    sim.Time
+	val  interface{}
 }
 
 // shard is one domain of a sharded run: a slab of torus nodes, their
@@ -97,6 +98,11 @@ type shard struct {
 
 	entries []shardGateEntry
 
+	// lastCall is the gate record of the latest collective a rank of
+	// this shard entered, shared by the shard's other entrants
+	// (Comm.uniformCall).
+	lastCall *gateCall
+
 	// blockedGates counts this shard's ranks blocked in collective
 	// gates the coordinator has not yet completed. While positive the
 	// shard sits out windows: its remaining ranks must not advance past
@@ -109,8 +115,8 @@ type shard struct {
 // mail queues a cross-shard delivery in this shard's outbox. The stamp
 // must come from the creating rank's counter (Proc.NextStamp), drawn
 // at the point the serial kernel would have scheduled the event.
-func (s *shard) mail(t sim.Time, src int, stamp uint64, dst *shard, fn func(), aux bool) {
-	s.outbox = append(s.outbox, xmail{t: t, src: src, stamp: stamp, dst: dst, fn: fn, aux: aux})
+func (s *shard) mail(m xmail) {
+	s.outbox = append(s.outbox, m)
 }
 
 // shardMailLocalOrder discards the canonical keys of barrier mail and
@@ -126,13 +132,15 @@ var shardMailLocalOrder = false
 // coordinator, cap the shard's window just past the entry time
 // (same-timestamp local entries still fire, so synchronized workloads
 // keep their parallelism), and block until the coordinator completes
-// the gate at a barrier.
-func (c *Comm) syncShard(r *Rank, key string, val interface{}, fin finisher) interface{} {
+// the gate at a barrier. The entry buffer keeps its capacity across
+// windows, so after the first barrier the append does not allocate on
+// the rank's stack.
+func (c *Comm) syncShard(r *Rank, call *gateCall, val interface{}) interface{} {
 	sh := r.sh
-	sh.entries = append(sh.entries, shardGateEntry{c: c, key: key, r: r, t: r.proc.Now(), val: val, fin: fin})
+	sh.entries = append(sh.entries, shardGateEntry{call: call, r: r, t: r.proc.Now(), val: val})
 	sh.blockedGates++
 	sh.k.LimitWindow(r.proc.Now().Add(1))
-	r.proc.BlockWith("collective ", key)
+	r.proc.BlockWith("collective ", call.key)
 	if r.gateDropped {
 		r.gateDropped = false
 		r.gateResult = nil
@@ -395,9 +403,8 @@ func (w *World) drainMail() bool {
 		for _, m := range sh.outbox {
 			k := m.dst.k
 			fn := m.fn
-			if m.aux {
-				inner := fn
-				fn = func() { inner(); k.Uncount() }
+			if sm := m.sendDone; sm != nil {
+				fn = func() { sm.completeSend(); k.Uncount() }
 			}
 			if shardMailLocalOrder {
 				k.At(m.t, fn)
@@ -415,40 +422,49 @@ func (w *World) drainMail() bool {
 // serial gate machinery in (time, world rank, per-shard order) —
 // within one gate every permutation of entries yields the same
 // completion (the finishers are entry-order independent), and across
-// gates the order reproduces serial completion timing. A rank lives on
-// one shard, so the stable sort over the shard-ordered concatenation
-// keeps each rank's own entries in order. A gate whose last live
-// member arrives completes on the spot, with the coordinator's clock
-// at that entry (exactly when the serial kernel completes it).
+// gates the order reproduces serial completion timing. Each shard's
+// entries are sorted in place, stably, so a rank's own entries keep
+// their order; a rank lives on one shard, so merging the shards'
+// sorted runs by (time, world rank) never meets a cross-shard tie. A
+// gate whose last live member arrives completes on the spot, with the
+// coordinator's clock at that entry (exactly when the serial kernel
+// completes it).
 func (w *World) drainEntries() {
 	n := 0
 	for _, sh := range w.shards {
+		if len(sh.entries) > 1 {
+			slices.SortStableFunc(sh.entries, cmpGateEntry)
+		}
 		n += len(sh.entries)
 	}
 	if n == 0 {
 		return
 	}
-	all := make([]shardGateEntry, 0, n)
+	next := make([]int, len(w.shards))
+	for ; n > 0; n-- {
+		var e *shardGateEntry
+		best := -1
+		for i, sh := range w.shards {
+			if j := next[i]; j < len(sh.entries) && (e == nil || cmpGateEntry(sh.entries[j], *e) < 0) {
+				e, best = &sh.entries[j], i
+			}
+		}
+		next[best]++
+		w.vnow = e.t
+		w.openGate(e.call).enter(e.r, e.t, e.val)
+	}
 	for _, sh := range w.shards {
-		all = append(all, sh.entries...)
 		clear(sh.entries)
 		sh.entries = sh.entries[:0]
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].t != all[j].t {
-			return all[i].t < all[j].t
-		}
-		return all[i].r.id < all[j].r.id
-	})
-	for _, e := range all {
-		w.vnow = e.t
-		g, ok := w.gates[e.key]
-		if !ok {
-			g = newGate(e.c, e.fin)
-			w.gates[e.key] = g
-		}
-		g.enter(e.key, e.r, e.t, e.val)
+}
+
+// cmpGateEntry orders gate entries by time, then world rank.
+func cmpGateEntry(a, b shardGateEntry) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
 	}
+	return cmp.Compare(a.r.id, b.r.id)
 }
 
 // coordFault applies one node fault, mirroring scheduleNodeFaults'

@@ -168,6 +168,10 @@ type World struct {
 	gates map[string]*gate
 	ran   bool
 
+	// lastCall is the serial kernel's shared gate record of the latest
+	// collective (Comm.uniformCall); sharded ranks use their shard's.
+	lastCall *gateCall
+
 	// program is the rank body of the run and finish each rank's
 	// finish time, set when the ranks are spawned (spawnRanks).
 	program func(*Rank)
@@ -505,44 +509,57 @@ func (w *World) effectiveShards() int {
 // spawnRanks starts every rank's process on the rank's kernel (the
 // World's, or its shard's in a sharded run) and sets up the per-rank
 // finish times the Result reports. Shared by the serial, stepwise and
-// sharded paths.
+// sharded paths. The process body is a closure rather than a method
+// value, and only runs under transparent recovery carry the deferred
+// unwind (the only way a rank unwinds without failing the run), so a
+// healthy run puts one small frame under the program on every rank's
+// stack (see "rank stack budget" in docs/PERFORMANCE.md).
 func (w *World) spawnRanks(program func(*Rank)) {
 	w.program = program
 	w.finish = make([]sim.Duration, len(w.ranks))
 	for _, r := range w.ranks {
-		r.proc = r.k.SpawnTagged("rank "+strconv.Itoa(r.id), r.id, r.run)
+		body := func(*sim.Proc) {
+			r.w.program(r)
+			r.done()
+		}
+		if w.recovery {
+			body = func(*sim.Proc) {
+				defer r.unwound()
+				r.w.program(r)
+				r.done()
+			}
+		}
+		r.proc = r.k.SpawnTagged("rank "+strconv.Itoa(r.id), r.id, body)
 	}
 }
 
-// run is a rank's process body: the World's program under the
-// standard kill-absorbing wrapper.
-func (r *Rank) run(p *sim.Proc) {
-	finish := r.w.finish
-	defer func() {
-		// A rank killed under transparent recovery unwinds with a
-		// rankKilledPanic; absorb it here (recording when the rank
-		// died) so the kernel's wrapper never sees it. No RankDone: the
-		// rank did not finish the program.
-		if v := recover(); v != nil {
-			if _, killed := v.(rankKilledPanic); killed {
-				finish[r.id] = sim.Duration(p.Now())
-				return
-			}
-			if _, cancelled := v.(peerLostPanic); cancelled {
-				// A survivor whose plain blocking wait was cancelled on
-				// a dead peer (log=sender): the error is already in the
-				// rank's cold state for Result.PeerLost. No RankDone —
-				// the rank did not finish the program.
-				finish[r.id] = sim.Duration(p.Now())
-				return
-			}
-			panic(v)
-		}
-	}()
-	r.w.program(r)
-	finish[r.id] = sim.Duration(p.Now())
+// done records a rank's finish time after its program returns.
+func (r *Rank) done() {
+	r.w.finish[r.id] = sim.Duration(r.proc.Now())
 	if r.k.Probe != nil {
-		r.pb.RankDone(r.id, p.Now())
+		r.pb.RankDone(r.id, r.proc.Now())
+	}
+}
+
+// unwound is the rank process's deferred exit under transparent
+// recovery. A killed rank unwinds with a rankKilledPanic; it is
+// absorbed here (recording when the rank died) so the kernel's wrapper
+// never sees it. No RankDone: the rank did not finish the program.
+func (r *Rank) unwound() {
+	if v := recover(); v != nil {
+		if _, killed := v.(rankKilledPanic); killed {
+			r.w.finish[r.id] = sim.Duration(r.proc.Now())
+			return
+		}
+		if _, cancelled := v.(peerLostPanic); cancelled {
+			// A survivor whose plain blocking wait was cancelled on
+			// a dead peer (log=sender): the error is already in the
+			// rank's cold state for Result.PeerLost. No RankDone —
+			// the rank did not finish the program.
+			r.w.finish[r.id] = sim.Duration(r.proc.Now())
+			return
+		}
+		panic(v)
 	}
 }
 

@@ -136,6 +136,13 @@ type Net struct {
 	probe obs.Probe // nil unless observability is on (SetProbe)
 
 	stats Stats
+
+	// collAlgo and collPend hold the CollMessage traffic of the latest
+	// message's algorithm not yet folded into stats.Collectives
+	// (flushColl): the messages of one collective arrive back to back,
+	// on the sending ranks' stacks, and need no map update each.
+	collAlgo string
+	collPend CollStats
 }
 
 // New builds the interconnect for a machine over a torus.
@@ -174,6 +181,7 @@ func (n *Net) SetLinkShare(share float64) {
 
 // Stats returns a copy of the traffic counters.
 func (n *Net) Stats() Stats {
+	n.flushColl()
 	s := n.stats
 	if n.stats.Collectives != nil {
 		s.Collectives = make(map[string]CollStats, len(n.stats.Collectives))
@@ -198,13 +206,27 @@ func (n *Net) CollOp(algo string) {
 // CollMessage attributes one collective-internal message to the named
 // algorithm.
 func (n *Net) CollMessage(algo string, bytes int) {
+	if algo != n.collAlgo {
+		n.flushColl()
+		n.collAlgo = algo
+	}
+	n.collPend.Messages++
+	n.collPend.Bytes += int64(bytes)
+}
+
+// flushColl folds the pending CollMessage traffic into the counters.
+func (n *Net) flushColl() {
+	if n.collPend == (CollStats{}) {
+		return
+	}
 	if n.stats.Collectives == nil {
 		n.stats.Collectives = make(map[string]CollStats)
 	}
-	cs := n.stats.Collectives[algo]
-	cs.Messages++
-	cs.Bytes += int64(bytes)
-	n.stats.Collectives[algo] = cs
+	cs := n.stats.Collectives[n.collAlgo]
+	cs.Messages += n.collPend.Messages
+	cs.Bytes += n.collPend.Bytes
+	n.stats.Collectives[n.collAlgo] = cs
+	n.collPend = CollStats{}
 }
 
 // RecordRecovery accounts one collective-recovery charge: the latency,
@@ -284,9 +306,15 @@ func (n *Net) Fidelity() Fidelity { return n.fid }
 // failed links and serializes slower over degraded ones; when the
 // failed links partition src from dst, P2P returns a
 // *topology.LinkDownError. Without a plan the error is always nil.
+//
+// P2P runs on the sending rank's coroutine stack, so its own frame
+// holds only the healthy analytic model: the panic and the link-fault,
+// packet and contention models are separate functions whose frames
+// exist only while they run (see "rank stack budget" in
+// docs/PERFORMANCE.md).
 func (n *Net) P2P(now sim.Time, srcNode, dstNode, bytes int) (sim.Time, error) {
 	if bytes < 0 {
-		panic(fmt.Sprintf("network: negative message size %d", bytes))
+		negativeSize(bytes)
 	}
 	n.stats.Messages++
 	n.stats.Bytes += int64(bytes)
@@ -296,20 +324,37 @@ func (n *Net) P2P(now sim.Time, srcNode, dstNode, bytes int) (sim.Time, error) {
 	if n.faults.HasLinkFaults() {
 		return n.p2pFaulty(now, srcNode, dstNode, bytes)
 	}
+	if n.fid != Analytic {
+		// The stateful models reserve links along the route, routed here
+		// so the routing frames sit beside the model's frame, not under
+		// it.
+		n.routeBuf = n.torus.AppendRoute(n.routeBuf[:0], srcNode, dstNode)
+		if n.fid == Packet {
+			return n.packetTransfer(now, srcNode, dstNode, bytes), nil
+		}
+		return n.contend(now, srcNode, dstNode, bytes), nil
+	}
+	hops := n.torus.Hops(srcNode, dstNode)
+	hopLat := sim.Seconds(n.mach.TorusHopLat * float64(hops))
+	effBW := math.Min(n.linkBW, n.injBW) * n.varFactor(srcNode, dstNode)
+	return now.Add(hopLat + sim.Seconds(float64(bytes)/effBW)), nil
+}
+
+//go:noinline
+func negativeSize(bytes int) {
+	panic(fmt.Sprintf("network: negative message size %d", bytes))
+}
+
+// contend is the healthy contention model: the message reserves every
+// link of its dimension-ordered route, in routeBuf (see the package
+// comment).
+func (n *Net) contend(now sim.Time, srcNode, dstNode, bytes int) sim.Time {
 	hops := n.torus.Hops(srcNode, dstNode)
 	hopLat := sim.Seconds(n.mach.TorusHopLat * float64(hops))
 	q := n.varFactor(srcNode, dstNode)
 	effBW := math.Min(n.linkBW, n.injBW) * q
 	wire := sim.Seconds(float64(bytes) / effBW)
 
-	if n.fid == Analytic {
-		return now.Add(hopLat + wire), nil
-	}
-	if n.fid == Packet {
-		return n.packetTransfer(now, srcNode, dstNode, bytes), nil
-	}
-
-	n.routeBuf = n.torus.AppendRoute(n.routeBuf[:0], srcNode, dstNode)
 	route := n.routeBuf
 	injSer := sim.Seconds(float64(bytes) / (n.injBW * q))
 	linkSer := sim.Seconds(float64(bytes) / (n.linkBW * q))
@@ -341,9 +386,9 @@ func (n *Net) P2P(now sim.Time, srcNode, dstNode, bytes int) (sim.Time, error) {
 	arrival := depart.Add(hopLat + wire)
 	n.ejFree[dstNode] = arrival
 	if n.probe != nil {
-		n.probeReserve(now, depart, srcNode, bytes, route, perHop, linkSer)
+		n.probeReserve(now, depart, srcNode, bytes, linkSer)
 	}
-	return arrival, nil
+	return arrival
 }
 
 // packetTransfer moves a message packet by packet along its
@@ -351,9 +396,8 @@ func (n *Net) P2P(now sim.Time, srcNode, dstNode, bytes int) (sim.Time, error) {
 // has cleared the previous link (virtual cut-through) and the link has
 // finished the previous packet. This is exact per-link FIFO
 // queueing — the reference against which the cheaper Contention
-// approximation is validated.
+// approximation is validated. The route is in routeBuf.
 func (n *Net) packetTransfer(now sim.Time, srcNode, dstNode, bytes int) sim.Time {
-	n.routeBuf = n.torus.AppendRoute(n.routeBuf[:0], srcNode, dstNode)
 	route := n.routeBuf
 	packets := (bytes + packetBytes - 1) / packetBytes
 	if packets == 0 {

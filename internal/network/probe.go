@@ -14,15 +14,17 @@ import (
 // nil probe costs one pointer compare per transfer.
 func (n *Net) SetProbe(p obs.Probe) { n.probe = p }
 
-// probeReserve reports one contention-model reservation: the injection
-// wait and the uniform per-link serialization of the healthy path. It
-// is kept out of line so the probe's interface-call spill slots stay
-// off the P2P frame, which sits on every rank goroutine's stack.
+// probeReserve reports one contention-model reservation of the route
+// in routeBuf: the injection wait and the uniform per-link
+// serialization of the healthy path. It is kept out of line, with few
+// arguments, so the probe's interface-call spill slots stay off the
+// contend frame, which sits on the sending rank's stack.
 //
 //go:noinline
-func (n *Net) probeReserve(now, depart sim.Time, srcNode, bytes int, route []topology.Link, perHop, linkSer sim.Duration) {
+func (n *Net) probeReserve(now, depart sim.Time, srcNode, bytes int, linkSer sim.Duration) {
+	perHop := sim.Seconds(n.mach.TorusHopLat)
 	n.probe.Inject(srcNode, depart, depart.Sub(now), bytes)
-	for i, l := range route {
+	for i, l := range n.routeBuf {
 		off := sim.Duration(i) * perHop
 		n.probe.LinkBusy(n.torus.LinkIndex(l), depart.Add(off), linkSer, bytes)
 	}

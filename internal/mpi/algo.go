@@ -30,7 +30,7 @@ type CollArgs struct {
 
 // CollAlgo is one registered collective algorithm.
 type CollAlgo struct {
-	Op   string // "bcast", "allreduce", ... (the nextKey kind)
+	Op   string // "bcast", "allreduce", ... (the key kind)
 	Name string // "binomial", "ring", "tree-offload", ...
 
 	// HW marks a hardware offload (BlueGene collective tree or global
@@ -46,7 +46,7 @@ type CollAlgo struct {
 
 	// Run executes the algorithm; key is the collective's matching key.
 	// Software algorithms only (HW algorithms supply Dur instead).
-	Run func(c *Comm, r *Rank, key string, a CollArgs)
+	Run func(c *Comm, r *Rank, key collKey, a CollArgs)
 
 	// Dur computes a hardware offload's duration; runColl performs the
 	// gate sync itself so the hot hardware path stays one call deep
@@ -84,7 +84,7 @@ const (
 	numCollOps
 )
 
-// collOpNames names the ops (the nextKey kinds), indexed by opID.
+// collOpNames names the ops (the key kinds), indexed by opID.
 var collOpNames = [numCollOps]string{
 	"barrier", "bcast", "allreduce", "reduce", "allgather",
 	"alltoall", "gather", "scatter", "scan", "reducescatter",
@@ -213,7 +213,7 @@ func (c *Comm) runColl(r *Rank, op opID, a CollArgs) {
 		c.gateColl(r, seq, op, al, a)
 		return
 	}
-	key := c.key(seq, al.Op)
+	key := newCollKey(c, seq, op)
 	if r.pb != nil {
 		probeColl(r, key, al.full, true)
 	}
@@ -249,22 +249,31 @@ func (c *Comm) pick(r *Rank, op opID, a CollArgs) *CollAlgo {
 func (c *Comm) gateColl(r *Rank, seq int, op opID, al *CollAlgo, a CollArgs) {
 	call := c.uniformCall(r, seq, op, al, a)
 	if r.pb != nil {
-		probeColl(r, call.key, al.full, true)
+		probeSpan(r, call.key, al.full, true)
 	}
 	c.sync(r, call, nil)
 	if r.pb != nil {
-		probeColl(r, call.key, al.full, false)
+		probeSpan(r, call.key, al.full, false)
 	}
 }
 
-// probeColl records one edge of a collective span. Kept out of runColl
-// so the interface-call spill slots don't widen the frame of every
-// collective call (runColl sits on the stack of each rank's deepest
-// path; a fat frame there grows the stack of every fresh rank
-// coroutine).
+// probeColl records one edge of a software collective's span. It is
+// the one place a software collective renders its key's text form, so
+// the allocation stays out of runColl's frame.
 //
 //go:noinline
-func probeColl(r *Rank, key, algo string, enter bool) {
+func probeColl(r *Rank, key collKey, algo string, enter bool) {
+	probeSpan(r, key.String(), algo, enter)
+}
+
+// probeSpan records one edge of a collective span under its text key.
+// Kept out of runColl so the interface-call spill slots don't widen the
+// frame of every collective call (runColl sits on the stack of each
+// rank's deepest path; a fat frame there grows the stack of every
+// fresh rank coroutine).
+//
+//go:noinline
+func probeSpan(r *Rank, key, algo string, enter bool) {
 	if enter {
 		r.pb.CollEnter(r.id, r.proc.Now(), key, algo)
 	} else {

@@ -115,7 +115,7 @@ func init() {
 
 // barrierDissemination is the software barrier: ceil(log2 P) rounds,
 // in round k exchanging a token with the ranks 2^k away.
-func barrierDissemination(c *Comm, r *Rank, key string, _ CollArgs) {
+func barrierDissemination(c *Comm, r *Rank, key collKey, _ CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -124,19 +124,19 @@ func barrierDissemination(c *Comm, r *Rank, key string, _ CollArgs) {
 	for k, dist := 0, 1; dist < p; k, dist = k+1, dist*2 {
 		dst := c.Member((me + dist) % p)
 		src := c.Member(((me-dist)%p + p) % p)
-		r.sendrecvColl(dst, 1, src, roundKey(key, ".r", k))
+		r.sendrecvColl(dst, 1, src, key.round(roundR, k))
 	}
 }
 
 // bcastBinomial sends the whole payload down a binomial tree rooted at
 // root in one unsegmented wave (the short-message algorithm).
-func bcastBinomial(c *Comm, r *Rank, key string, a CollArgs) {
+func bcastBinomial(c *Comm, r *Rank, key collKey, a CollArgs) {
 	bcastBinomialSegmented(c, r, key, a.Root, a.Bytes, a.Bytes)
 }
 
 // bcastBinomialPipelined segments large payloads so the binomial-tree
 // forwarding pipelines (the long-message algorithm).
-func bcastBinomialPipelined(c *Comm, r *Rank, key string, a CollArgs) {
+func bcastBinomialPipelined(c *Comm, r *Rank, key collKey, a CollArgs) {
 	seg := bcastSegment
 	if a.Bytes <= seg {
 		seg = a.Bytes
@@ -147,7 +147,7 @@ func bcastBinomialPipelined(c *Comm, r *Rank, key string, a CollArgs) {
 // bcastBinomialSegmented is the common binomial broadcast body: the
 // payload travels in ceil(bytes/seg) waves, each wave a full binomial
 // tree keyed separately so consecutive waves overlap in the tree.
-func bcastBinomialSegmented(c *Comm, r *Rank, key string, root, bytes, seg int) {
+func bcastBinomialSegmented(c *Comm, r *Rank, key collKey, root, bytes, seg int) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -165,7 +165,7 @@ func bcastBinomialSegmented(c *Comm, r *Rank, key string, root, bytes, seg int) 
 		}
 		skey := key
 		if nseg > 1 {
-			skey = roundKey(key, ".s", s)
+			skey = key.round(roundSeg, s)
 		}
 		// Receive from parent (lowest set bit of rel).
 		mask := 1
@@ -189,7 +189,7 @@ func bcastBinomialSegmented(c *Comm, r *Rank, key string, root, bytes, seg int) 
 
 // allreduceRecDoubling: fold to a power of two, then log2 rounds of
 // pairwise exchange-and-combine, then unfold.
-func allreduceRecDoubling(c *Comm, r *Rank, key string, a CollArgs) {
+func allreduceRecDoubling(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -201,9 +201,9 @@ func allreduceRecDoubling(c *Comm, r *Rank, key string, a CollArgs) {
 
 	if me < 2*rem {
 		if me%2 == 0 {
-			r.sendColl(c.Member(me+1), bytes, key+".fold")
+			r.sendColl(c.Member(me+1), bytes, key.phase(phaseFold))
 		} else {
-			r.recvColl(c.Member(me-1), key+".fold")
+			r.recvColl(c.Member(me-1), key.phase(phaseFold))
 			r.reduceFlops(bytes)
 		}
 	}
@@ -211,15 +211,15 @@ func allreduceRecDoubling(c *Comm, r *Rank, key string, a CollArgs) {
 	if nr >= 0 {
 		for k, mask := 0, 1; mask < pof2; k, mask = k+1, mask*2 {
 			partner := c.Member(unfold(nr^mask, p, pof2))
-			r.sendrecvColl(partner, bytes, partner, roundKey(key, ".r", k))
+			r.sendrecvColl(partner, bytes, partner, key.round(roundR, k))
 			r.reduceFlops(bytes)
 		}
 	}
 	if me < 2*rem {
 		if me%2 == 0 {
-			r.recvColl(c.Member(me+1), key+".unfold")
+			r.recvColl(c.Member(me+1), key.phase(phaseUnfold))
 		} else {
-			r.sendColl(c.Member(me-1), bytes, key+".unfold")
+			r.sendColl(c.Member(me-1), bytes, key.phase(phaseUnfold))
 		}
 	}
 }
@@ -227,7 +227,7 @@ func allreduceRecDoubling(c *Comm, r *Rank, key string, a CollArgs) {
 // allreduceRabenseifner: fold, reduce-scatter by recursive halving,
 // allgather by recursive doubling, unfold. Moves 2*bytes*(pof2-1)/pof2
 // per rank instead of log2(P)*bytes.
-func allreduceRabenseifner(c *Comm, r *Rank, key string, a CollArgs) {
+func allreduceRabenseifner(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -239,9 +239,9 @@ func allreduceRabenseifner(c *Comm, r *Rank, key string, a CollArgs) {
 
 	if me < 2*rem {
 		if me%2 == 0 {
-			r.sendColl(c.Member(me+1), bytes, key+".fold")
+			r.sendColl(c.Member(me+1), bytes, key.phase(phaseFold))
 		} else {
-			r.recvColl(c.Member(me-1), key+".fold")
+			r.recvColl(c.Member(me-1), key.phase(phaseFold))
 			r.reduceFlops(bytes)
 		}
 	}
@@ -251,7 +251,7 @@ func allreduceRabenseifner(c *Comm, r *Rank, key string, a CollArgs) {
 		chunk := bytes / 2
 		for k, mask := 0, 1; mask < pof2; k, mask = k+1, mask*2 {
 			partner := c.Member(unfold(nr^mask, p, pof2))
-			r.sendrecvColl(partner, chunk, partner, roundKey(key, ".rs", k))
+			r.sendrecvColl(partner, chunk, partner, key.round(roundRS, k))
 			r.reduceFlops(chunk)
 			if chunk > 1 {
 				chunk /= 2
@@ -264,21 +264,21 @@ func allreduceRabenseifner(c *Comm, r *Rank, key string, a CollArgs) {
 		}
 		for k, mask := 0, 1; mask < pof2; k, mask = k+1, mask*2 {
 			partner := c.Member(unfold(nr^mask, p, pof2))
-			r.sendrecvColl(partner, chunk, partner, roundKey(key, ".ag", k))
+			r.sendrecvColl(partner, chunk, partner, key.round(roundAG, k))
 			chunk *= 2
 		}
 	}
 	if me < 2*rem {
 		if me%2 == 0 {
-			r.recvColl(c.Member(me+1), key+".unfold")
+			r.recvColl(c.Member(me+1), key.phase(phaseUnfold))
 		} else {
-			r.sendColl(c.Member(me-1), bytes, key+".unfold")
+			r.sendColl(c.Member(me-1), bytes, key.phase(phaseUnfold))
 		}
 	}
 }
 
 // reduceBinomial combines a buffer to root via a binomial tree.
-func reduceBinomial(c *Comm, r *Rank, key string, a CollArgs) {
+func reduceBinomial(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -286,7 +286,7 @@ func reduceBinomial(c *Comm, r *Rank, key string, a CollArgs) {
 	me := c.Rank(r)
 	rel := (me - a.Root + p) % p
 	for k, mask := 0, 1; mask < p; k, mask = k+1, mask*2 {
-		rkey := roundKey(key, ".r", k)
+		rkey := key.round(roundR, k)
 		if rel&mask == 0 {
 			src := rel | mask
 			if src < p {
@@ -303,7 +303,7 @@ func reduceBinomial(c *Comm, r *Rank, key string, a CollArgs) {
 
 // allgatherRing circulates each member's contribution around the ring:
 // P-1 rounds of one chunk each.
-func allgatherRing(c *Comm, r *Rank, key string, a CollArgs) {
+func allgatherRing(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -312,13 +312,13 @@ func allgatherRing(c *Comm, r *Rank, key string, a CollArgs) {
 	right := c.Member((me + 1) % p)
 	left := c.Member((me - 1 + p) % p)
 	for k := 0; k < p-1; k++ {
-		r.sendrecvColl(right, a.Bytes, left, roundKey(key, ".r", k))
+		r.sendrecvColl(right, a.Bytes, left, key.round(roundR, k))
 	}
 }
 
 // alltoallPairwise exchanges with every other member one at a time
 // (XOR schedule when the size is a power of two).
-func alltoallPairwise(c *Comm, r *Rank, key string, a CollArgs) {
+func alltoallPairwise(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -334,13 +334,13 @@ func alltoallPairwise(c *Comm, r *Rank, key string, a CollArgs) {
 			dst = (me + k) % p
 			src = (me - k + p) % p
 		}
-		r.sendrecvColl(c.Member(dst), a.Bytes, c.Member(src), roundKey(key, ".r", k))
+		r.sendrecvColl(c.Member(dst), a.Bytes, c.Member(src), key.round(roundR, k))
 	}
 }
 
 // gatherBinomial collects bytesPerRank from every member at root via a
 // binomial tree with subtree aggregation.
-func gatherBinomial(c *Comm, r *Rank, key string, a CollArgs) {
+func gatherBinomial(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -349,7 +349,7 @@ func gatherBinomial(c *Comm, r *Rank, key string, a CollArgs) {
 	rel := (me - a.Root + p) % p
 	have := 1 // subtree ranks aggregated so far
 	for k, mask := 0, 1; mask < p; k, mask = k+1, mask*2 {
-		rkey := roundKey(key, ".r", k)
+		rkey := key.round(roundR, k)
 		if rel&mask == 0 {
 			src := rel | mask
 			if src < p {

@@ -30,7 +30,7 @@ func init() {
 
 // scatterBinomial distributes per-rank chunks down a binomial tree,
 // with subtree chunks travelling together.
-func scatterBinomial(c *Comm, r *Rank, key string, a CollArgs) {
+func scatterBinomial(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -63,14 +63,14 @@ func scatterBinomial(c *Comm, r *Rank, key string, a CollArgs) {
 // scanLogStep is the standard log-round prefix algorithm: in round k,
 // rank i sends its partial result to rank i+2^k and incorporates the
 // value from rank i-2^k.
-func scanLogStep(c *Comm, r *Rank, key string, a CollArgs) {
+func scanLogStep(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
 	me := c.Rank(r)
 	for k, dist := 0, 1; dist < p; k, dist = k+1, dist*2 {
-		rkey := roundKey(key, ".r", k)
+		rkey := key.round(roundR, k)
 		var sreq *Request
 		if me+dist < p {
 			sreq = r.isendPayload(c.Member(me+dist), a.Bytes, 0, rkey, nil)
@@ -87,7 +87,7 @@ func scanLogStep(c *Comm, r *Rank, key string, a CollArgs) {
 
 // reduceScatterRecHalving: fold to a power of two, then recursive
 // halving, leaving each member its slice.
-func reduceScatterRecHalving(c *Comm, r *Rank, key string, a CollArgs) {
+func reduceScatterRecHalving(c *Comm, r *Rank, key collKey, a CollArgs) {
 	p := c.Size()
 	if p == 1 {
 		return
@@ -99,9 +99,9 @@ func reduceScatterRecHalving(c *Comm, r *Rank, key string, a CollArgs) {
 
 	if me < 2*rem {
 		if me%2 == 0 {
-			r.sendColl(c.Member(me+1), total, key+".fold")
+			r.sendColl(c.Member(me+1), total, key.phase(phaseFold))
 		} else {
-			r.recvColl(c.Member(me-1), key+".fold")
+			r.recvColl(c.Member(me-1), key.phase(phaseFold))
 			r.reduceFlops(total)
 		}
 	}
@@ -110,7 +110,7 @@ func reduceScatterRecHalving(c *Comm, r *Rank, key string, a CollArgs) {
 		chunk := total / 2
 		for k, mask := 0, 1; mask < pof2; k, mask = k+1, mask*2 {
 			partner := c.Member(unfold(nr^mask, p, pof2))
-			r.sendrecvColl(partner, chunk, partner, roundKey(key, ".r", k))
+			r.sendrecvColl(partner, chunk, partner, key.round(roundR, k))
 			r.reduceFlops(chunk)
 			if chunk > 1 {
 				chunk /= 2
@@ -120,9 +120,9 @@ func reduceScatterRecHalving(c *Comm, r *Rank, key string, a CollArgs) {
 	if me < 2*rem {
 		// Folded-out even ranks receive their slice back.
 		if me%2 == 0 {
-			r.recvColl(c.Member(me+1), key+".unfold")
+			r.recvColl(c.Member(me+1), key.phase(phaseUnfold))
 		} else {
-			r.sendColl(c.Member(me-1), a.Bytes, key+".unfold")
+			r.sendColl(c.Member(me-1), a.Bytes, key.phase(phaseUnfold))
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Helpers shared by every collective algorithm: the power-of-two
 // fold/unfold mapping used by the reduction algorithms, and the
-// per-round matching-key builder.
+// matching key of collective-internal traffic.
 
 // foldIn maps the communicator onto a power-of-two subgroup: ranks
 // below 2*rem pair up (evens hand their data to odds). Returns the
@@ -42,18 +42,117 @@ func pow2Floor(p int) int {
 	return f
 }
 
-// roundKey builds the matching key of one algorithm round: the
-// collective's key plus a suffix (".r", ".s", ".rs", ".ag", ...) and a
-// round number. Built by hand rather than with fmt for the same reason
-// as Comm.nextKey: this runs on every round of every software
-// collective and fmt's deep call stack forces stack growth on fresh
-// rank coroutines.
-func roundKey(key, suffix string, k int) string {
-	b := make([]byte, 0, len(key)+len(suffix)+4)
-	b = append(b, key...)
-	b = append(b, suffix...)
-	b = strconv.AppendInt(b, int64(k), 10)
-	return string(b)
+// collKey is the matching key of collective-internal traffic: the
+// communicator plus a packed word holding the collective's sequence
+// number on it, the collective's kind, an algorithm sub-phase and a
+// round. Messages carrying it can never match user receives, whose key
+// is the zero value. Building and comparing one allocates nothing;
+// String renders the text form ("name#seq:kind.phase.roundK") for the
+// probes, which is the only place it is needed.
+type collKey struct {
+	c *Comm
+	v uint64
+}
+
+// Field layout of collKey.v, low bits first: the round index (23 bits,
+// enough for any round of a world within maxRanks), the round kind (3
+// bits), the sub-phase (3 bits), the kind (5 bits) and the sequence
+// number (30 bits, checked in Comm.nextSeq). Every field has its own
+// bits, so the packing is injective within those bounds.
+const (
+	keyRoundBits  = 23
+	keyRKindBits  = 3
+	keyPhaseBits  = 3
+	keyKindBits   = 5
+	keyRKindShift = keyRoundBits
+	keyPhaseShift = keyRKindShift + keyRKindBits
+	keyKindShift  = keyPhaseShift + keyPhaseBits
+	keySeqShift   = keyKindShift + keyKindBits
+	maxCollSeq    = 1 << (64 - keySeqShift)
+	maxRanks      = 1 << keyRoundBits
+)
+
+// Key kinds beyond the collective ops (opID), for the gates and
+// payload collectives that draw a sequence number too.
+const (
+	kindSplit = numCollOps + iota
+	kindBcastPayload
+	kindGatherPayload
+	kindBcastPayloadAgree
+	kindGatherPayloadAgree
+	kindAllreducePayloadAgree
+)
+
+var extraKindNames = [...]string{"split", "bcastpayload", "gatherpayload",
+	"bcastpayload!agree", "gatherpayload!agree", "allreducepayload!agree"}
+
+// kindName is the text form of a key kind: the op name for collective
+// ops.
+func kindName(kind opID) string {
+	if kind < numCollOps {
+		return collOpNames[kind]
+	}
+	return extraKindNames[kind-numCollOps]
+}
+
+// keyPhase is an algorithm sub-phase: a composed algorithm runs each
+// of its parts under its own phase, and the reductions key their
+// power-of-two fold and unfold steps apart from the rounds.
+type keyPhase uint64
+
+const (
+	phaseUp keyPhase = iota + 1
+	phaseDown
+	phaseScatter
+	phaseAllgather
+	phaseFold
+	phaseUnfold
+)
+
+var phaseNames = [...]string{"", ".up", ".down", ".sc", ".ag", ".fold", ".unfold"}
+
+// roundKind names an algorithm's round sequence: plain rounds, the
+// segments of a pipelined broadcast, and the reduce-scatter and
+// allgather halves of a two-part reduction.
+type roundKind uint64
+
+const (
+	roundR roundKind = iota + 1
+	roundSeg
+	roundRS
+	roundAG
+)
+
+var roundNames = [...]string{"", ".r", ".s", ".rs", ".ag"}
+
+// newCollKey is the key of collective number seq of the given kind on
+// c.
+func newCollKey(c *Comm, seq int, kind opID) collKey {
+	return collKey{c, uint64(seq)<<keySeqShift | uint64(kind)<<keyKindShift}
+}
+
+// phase returns the key of one sub-phase of the collective.
+func (k collKey) phase(ph keyPhase) collKey {
+	k.v |= uint64(ph) << keyPhaseShift
+	return k
+}
+
+// round returns the key of round n of the given kind. n is below the
+// communicator size, so it fits its field (maxRanks).
+func (k collKey) round(kind roundKind, n int) collKey {
+	k.v |= uint64(kind)<<keyRKindShift | uint64(n)
+	return k
+}
+
+// String renders the key's text form: the communicator's collective
+// key (Comm.key) followed by the sub-phase and the round, if any.
+func (k collKey) String() string {
+	s := k.c.key(int(k.v>>keySeqShift), kindName(opID(k.v>>keyKindShift&(1<<keyKindBits-1))))
+	s += phaseNames[k.v>>keyPhaseShift&(1<<keyPhaseBits-1)]
+	if rk := k.v >> keyRKindShift & (1<<keyRKindBits - 1); rk != 0 {
+		s += roundNames[rk] + strconv.Itoa(int(k.v&(1<<keyRoundBits-1)))
+	}
+	return s
 }
 
 // reduceFlops charges the local combination cost of a reduction over a

@@ -19,7 +19,7 @@ type Comm struct {
 	isWorld bool
 
 	// seq holds each member's collective sequence number on this
-	// communicator, by communicator rank (nextKey). Every member writes
+	// communicator, by communicator rank (nextSeq). Every member writes
 	// only its own slot, so ranks on concurrent shard kernels never
 	// touch the same word.
 	seq []int
@@ -68,10 +68,10 @@ func newComm(w *World, name string, members []int, epoch int) *Comm {
 	return c
 }
 
-// nextKey returns a unique key for the rank's next collective on this
-// communicator (see nextSeq and key).
-func (c *Comm) nextKey(r *Rank, kind string) string {
-	return c.key(c.nextSeq(r), kind)
+// nextKey returns the matching key of the rank's next collective of
+// the given kind on this communicator (see nextSeq).
+func (c *Comm) nextKey(r *Rank, kind opID) collKey {
+	return newCollKey(c, c.nextSeq(r), kind)
 }
 
 // nextSeq returns the rank's sequence number for its next collective
@@ -85,6 +85,9 @@ func (c *Comm) nextSeq(r *Rank) int {
 		c.notMember(r)
 	}
 	seq := c.seq[i]
+	if seq >= maxCollSeq {
+		c.seqOverflow()
+	}
 	c.seq[i] = seq + 1
 	return seq
 }
@@ -94,9 +97,18 @@ func (c *Comm) notMember(r *Rank) {
 	panic(fmt.Sprintf("mpi: rank %d is not a member of communicator %q", r.id, c.name))
 }
 
-// key builds the matching key of collective number seq on this
-// communicator. Built by hand rather than with fmt, whose deep call
-// stack would run past the rank stack budget.
+// seqOverflow reports a communicator whose collective sequence numbers
+// no longer fit their field of the matching key (collKey).
+//
+//go:noinline
+func (c *Comm) seqOverflow() {
+	panic(fmt.Sprintf("mpi: more than %d collectives on communicator %q", maxCollSeq, c.name))
+}
+
+// key builds the text key of collective number seq on this
+// communicator: the gate map's key and the text form of collKey. Built
+// by hand rather than with fmt, whose deep call stack would run past
+// the rank stack budget.
 func (c *Comm) key(seq int, kind string) string {
 	b := make([]byte, 0, len(c.name)+len(kind)+8)
 	b = append(b, c.name...)
@@ -163,7 +175,7 @@ func (c *Comm) newUniformCall(last **gateCall, seq int, op opID, al *CollAlgo, a
 // finisher computes each member's release time (and optionally a
 // shared result), and everyone resumes at their release time. Each
 // member enters once: its collective key carries its own sequence
-// number on the communicator (nextKey).
+// number on the communicator (nextSeq).
 type gate struct {
 	call   *gateCall
 	need   int
@@ -309,7 +321,7 @@ func (g *gate) uniformEnd() sim.Time {
 // is a collective operation. Ranks passing a negative color receive a
 // nil communicator (MPI_UNDEFINED).
 func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	gk := c.nextKey(r, "split")
+	gk := c.nextKey(r, kindSplit).String()
 	type ck struct{ color, key, world int }
 	fin := func(ranks []*Rank, times []sim.Time, vals []interface{}) ([]sim.Time, interface{}) {
 		var last sim.Time
@@ -359,11 +371,11 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 		return release, comms
 	}
 	if r.pb != nil {
-		probeColl(r, gk, "split", true)
+		probeSpan(r, gk, "split", true)
 	}
 	res := c.sync(r, &gateCall{c: c, key: gk, fin: fin}, ck{color, key, r.id})
 	if r.pb != nil {
-		probeColl(r, gk, "split", false)
+		probeSpan(r, gk, "split", false)
 	}
 	comms := res.(map[int]*Comm)
 	if color < 0 {

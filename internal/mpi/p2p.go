@@ -9,27 +9,29 @@ import (
 // message is an in-flight transfer. For eager sends it represents the
 // data itself; for rendezvous sends it is the ready-to-send header and
 // the data transfer starts when the receiver matches it. The message
-// embeds the sender's request and carries its own event callback, so a
-// send allocates twice, in the send's entry frame (isendFrac) and the
-// frame below it (isend); nothing deeper allocates (see "rank stack
-// budget" in docs/PERFORMANCE.md).
+// embeds the sender's request and is its own event handler (Fire), so
+// a send makes one allocation, in the send's entry frame (isendFrac);
+// nothing deeper allocates (see "rank stack budget" in
+// docs/PERFORMANCE.md).
 type message struct {
-	req     Request // the sender's request: sender, dst, tag, collKey, protocol
+	req     Request // the sender's request: sender, dst, tag, key, protocol
 	bytes   int
 	payload interface{}
 	sentAt  sim.Time // send time, for probe match edges (probe runs only)
 	recv    *Request // the matched receive, once a rendezvous header is matched
-	fire    func()   // the message's event callback: see step
 }
 
-// Request is a handle for a non-blocking operation.
+// Request is a handle for a non-blocking operation. Ranks and tags are
+// stored as int32 (NewWorld bounds the rank count; isend and post
+// reject values outside the range) so the request fits the allocator's
+// 48-byte class.
 type Request struct {
 	r       *Rank
-	src     int // matching source (receives)
-	dst     int // destination rank (sends), for orphan cancellation
-	tag     int
-	collKey string
 	msg     *message // matched message (receives)
+	key     collKey  // collective-internal matching key; zero for user traffic
+	src     int32    // matching source (receives)
+	dst     int32    // destination rank (sends only), for orphan cancellation
+	tag     int32
 	isRecv  bool
 	done    bool
 	waiting bool
@@ -50,7 +52,7 @@ func (q *Request) Payload() interface{} {
 
 // IsendPayload starts a non-blocking send carrying a value.
 func (r *Rank) IsendPayload(dst, bytes, tag int, payload interface{}) *Request {
-	return r.isendPayload(dst, bytes, tag, "", payload)
+	return r.isendPayload(dst, bytes, tag, collKey{}, payload)
 }
 
 func (r *Rank) swOverhead() sim.Duration {
@@ -67,11 +69,11 @@ func (r *Rank) Send(dst, bytes, tag int) {
 // SendPayload is Send carrying an arbitrary value, used by tests and
 // by programs that need to move model data between ranks.
 func (r *Rank) SendPayload(dst, bytes, tag int, payload interface{}) {
-	r.sendPayload(dst, bytes, tag, "", payload)
+	r.sendPayload(dst, bytes, tag, collKey{}, payload)
 }
 
-func (r *Rank) sendPayload(dst, bytes, tag int, collKey string, payload interface{}) {
-	req := r.isendPayload(dst, bytes, tag, collKey, payload)
+func (r *Rank) sendPayload(dst, bytes, tag int, key collKey, payload interface{}) {
+	req := r.isendPayload(dst, bytes, tag, key, payload)
 	r.waitNoOverhead(req)
 }
 
@@ -96,22 +98,18 @@ func (r *Rank) isendFrac(dst, bytes, tag int, overheadFrac float64) *Request {
 }
 
 // isendPayload is isendFrac at the full software cost for collective
-// traffic (collKey set) and payload-carrying sends.
-func (r *Rank) isendPayload(dst, bytes, tag int, collKey string, payload interface{}) *Request {
+// traffic (key set) and payload-carrying sends.
+func (r *Rank) isendPayload(dst, bytes, tag int, key collKey, payload interface{}) *Request {
 	m := &message{bytes: bytes, payload: payload}
-	m.req.collKey = collKey
+	m.req.key = key
 	r.isend(m, dst, tag, 1)
 	return &m.req
 }
 
 // isend validates a new send to dst, charges the sender-side software
-// cost and puts the message on the wire. It allocates the message's
-// 16-byte callback: one frame below the entry is still shallow, and
-// leaving it to the entry points would push them past the inlining
-// budget.
+// cost and puts the message on the wire.
 func (r *Rank) isend(m *message, dst, tag int, overheadFrac float64) {
-	m.req.r, m.req.dst, m.req.tag = r, dst, tag
-	m.fire = m.step
+	m.req.r, m.req.dst, m.req.tag = r, int32(dst), int32(tag)
 	if r.dead && r.collAlgo == "" {
 		killRank()
 	}
@@ -124,8 +122,11 @@ func (r *Rank) isend(m *message, dst, tag int, overheadFrac float64) {
 	if m.bytes < 0 {
 		badSend(dst, m.bytes)
 	}
+	if int(m.req.tag) != tag {
+		badTag(tag)
+	}
 	r.proc.Sleep(sim.Duration(float64(r.swOverhead()) * overheadFrac)) // sender-side software cost
-	if m.req.collKey != "" && r.collAlgo != "" {
+	if m.req.key.c != nil && r.collAlgo != "" {
 		collTraffic(r, m.bytes)
 	}
 	if r.pb != nil {
@@ -150,14 +151,14 @@ func (r *Rank) dispatch(m *message) {
 	dst := r.w.ranks[m.req.dst]
 	arrival, err := r.net.P2P(r.proc.Now(), r.place.Node, dst.place.Node, wireBytes)
 	if err != nil {
-		failSend(r, m.req.dst, err)
+		failSend(r, int(m.req.dst), err)
 	}
 	// The delivery's canonical ordering key is the sender's: the stamp
 	// is drawn here, at send time, so the delivery sorts at the same
 	// same-timestamp position on the destination kernel whether it is
 	// scheduled locally or carried through the inter-shard mailbox.
 	stamp := r.proc.NextStamp()
-	if r.logSend && m.req.collKey == "" {
+	if r.logSend && m.req.key.c == nil {
 		logSent(r, m, stamp)
 	}
 	if dst.sh != r.sh {
@@ -167,31 +168,46 @@ func (r *Rank) dispatch(m *message) {
 		mailFire(r, dst, arrival, stamp, m)
 		return
 	}
-	r.k.AtTagged(arrival, r.id, stamp, m.fire)
+	r.k.AtTagged(arrival, r.id, stamp, m)
 }
 
-// mailFire queues a message's callback for another shard's kernel. It
+// mailFire queues a message's delivery for another shard's kernel. It
 // is kept out of line so its argument spill stays off the frames of
 // dispatch and rendezvous (rank stack budget, docs/PERFORMANCE.md).
 //
 //go:noinline
 func mailFire(r, dst *Rank, t sim.Time, stamp uint64, m *message) {
-	r.sh.mail(xmail{t: t, src: r.id, stamp: stamp, dst: dst.sh, fn: m.fire})
+	r.sh.mail(xmail{t: t, src: r.id, stamp: stamp, dst: dst.sh, h: m})
 }
 
 // mailSendDone queues a cross-shard rendezvous sender's completion for
-// the sender's shard (see xmail.sendDone).
+// the sender's shard (see sendDone).
 //
 //go:noinline
 func mailSendDone(r, src *Rank, t sim.Time, m *message) {
-	r.sh.mail(xmail{t: t, src: r.id, stamp: r.proc.NextStamp(), dst: src.sh, sendDone: m})
+	r.sh.mail(xmail{t: t, src: r.id, stamp: r.proc.NextStamp(), dst: src.sh, h: (*sendDone)(m)})
 }
 
-// step is the message's event callback, allocated with it. It first
-// fires at the wire arrival and delivers the message; a matched
-// rendezvous fires it again when the bulk transfer lands, completing
-// the receive and — when both ranks share a kernel — the send.
-func (m *message) step() {
+// sendDone is a cross-shard rendezvous sender's completion, fired on
+// the sender's shard kernel. It is the one mailed event with no serial
+// counterpart (the serial kernel completes both sides in the
+// receiver's completion event), so it is excluded from the event
+// count. It is the message itself under another type, so mailing it
+// allocates nothing.
+type sendDone message
+
+// Fire completes the send.
+func (s *sendDone) Fire() {
+	m := (*message)(s)
+	m.completeSend()
+	m.req.r.k.Uncount()
+}
+
+// Fire is the message's event handler. It first fires at the wire
+// arrival and delivers the message; a matched rendezvous fires it again
+// when the bulk transfer lands, completing the receive and — when both
+// ranks share a kernel — the send.
+func (m *message) Fire() {
 	q := m.recv
 	if q == nil {
 		m.req.r.w.ranks[m.req.dst].deliver(m)
@@ -212,11 +228,11 @@ func (m *message) completeSend() {
 	}
 }
 
-// badSend, failSend, collTraffic and logSent keep the send's cold
-// branches — the fmt panics, the link-failure error, the per-algorithm
-// traffic map and the sender log — off the isendFrac and dispatch
-// frames, which sit on every rank coroutine's deepest path and must fit
-// the rank stack budget (docs/PERFORMANCE.md).
+// badSend, badTag, failSend, collTraffic and logSent keep the send's
+// cold branches — the fmt panics, the link-failure error, the
+// per-algorithm traffic map and the sender log — off the isendFrac and
+// dispatch frames, which sit on every rank coroutine's deepest path and
+// must fit the rank stack budget (docs/PERFORMANCE.md).
 //
 //go:noinline
 func badSend(dst, bytes int) {
@@ -224,6 +240,24 @@ func badSend(dst, bytes int) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	panic(fmt.Sprintf("mpi: negative send size %d", bytes))
+}
+
+// badTag rejects a tag outside the int32 range a request stores.
+//
+//go:noinline
+func badTag(tag int) {
+	panic(fmt.Sprintf("mpi: tag %d out of range", tag))
+}
+
+// badRecv rejects a receive whose source or tag is outside the int32
+// range a request stores.
+//
+//go:noinline
+func badRecv(src, tag int) {
+	if int(int32(src)) != src {
+		panic(fmt.Sprintf("mpi: receive from invalid rank %d", src))
+	}
+	badTag(tag)
 }
 
 // failSend surfaces a send whose failed links partition the torus
@@ -251,43 +285,50 @@ func collTraffic(r *Rank, bytes int) {
 //go:noinline
 func logSent(r *Rank, m *message, stamp uint64) {
 	c := r.coldState()
-	c.sentLog = append(c.sentLog, logEnv{dst: m.req.dst, bytes: m.bytes, stamp: stamp, sentAt: r.proc.Now()})
+	c.sentLog = append(c.sentLog, logEnv{dst: int(m.req.dst), bytes: m.bytes, stamp: stamp, sentAt: r.proc.Now()})
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
 // its size. Use AnySource and AnyTag as wildcards.
 func (r *Rank) Recv(src, tag int) int {
-	req := r.irecv(src, tag, "")
+	req := r.Irecv(src, tag)
 	r.Wait(req)
 	return req.msg.bytes
 }
 
 // RecvPayload is Recv returning the carried payload as well.
 func (r *Rank) RecvPayload(src, tag int) (int, interface{}) {
-	req := r.irecv(src, tag, "")
+	req := r.Irecv(src, tag)
 	r.Wait(req)
 	return req.msg.bytes, req.msg.payload
 }
 
-// Irecv posts a non-blocking receive for (src, tag).
+// Irecv posts a non-blocking receive for (src, tag). It allocates the
+// receive's request — its only allocation — and is small enough to
+// inline, so the allocation happens in the caller's frame; posting it
+// (post) allocates nothing while the receive fits the rank's inline
+// posted buffer.
 func (r *Rank) Irecv(src, tag int) *Request {
-	q := &Request{r: r, isRecv: true, src: src, dst: -1, tag: tag}
-	r.post(q)
+	q := &Request{r: r, isRecv: true}
+	r.post(q, src, tag)
 	return q
 }
 
-// irecv allocates a receive's request — its only allocation — and is
-// small enough to inline, so the allocation happens in the caller's
-// frame; posting it (post) allocates nothing while the receive fits the
-// rank's inline posted buffer.
-func (r *Rank) irecv(src, tag int, collKey string) *Request {
-	q := &Request{r: r, isRecv: true, src: src, dst: -1, tag: tag, collKey: collKey}
-	r.post(q)
+// irecvColl is Irecv for collective-internal traffic: any tag, under
+// the collective's key.
+func (r *Rank) irecvColl(src int, key collKey) *Request {
+	q := &Request{r: r, isRecv: true, key: key}
+	r.post(q, src, AnyTag)
 	return q
 }
 
-// post matches a new receive against the queued arrivals or queues it.
-func (r *Rank) post(q *Request) {
+// post sets a new receive's source and tag, then matches it against
+// the queued arrivals or queues it.
+func (r *Rank) post(q *Request, src, tag int) {
+	q.src, q.tag = int32(src), int32(tag)
+	if int(q.src) != src || int(q.tag) != tag {
+		badRecv(src, tag)
+	}
 	if r.dead && r.collAlgo == "" {
 		killRank()
 	}
@@ -295,7 +336,7 @@ func (r *Rank) post(q *Request) {
 		r.applyFloor()
 	}
 	if r.pb != nil {
-		probeRecvPost(r, q.src, q.tag)
+		probeRecvPost(r, int(q.src), int(q.tag))
 	}
 	if m := r.takeArrived(q); m != nil {
 		r.matched(q, m)
@@ -332,10 +373,10 @@ func (r *Rank) queue(q *Request) {
 
 // matches reports whether message m satisfies receive request q.
 func (q *Request) matches(m *message) bool {
-	if q.collKey != m.req.collKey {
+	if q.key != m.req.key {
 		return false
 	}
-	if q.src != AnySource && q.src != m.req.r.id {
+	if q.src != AnySource && int(q.src) != m.req.r.id {
 		return false
 	}
 	if q.tag != AnyTag && q.tag != m.req.tag {
@@ -347,7 +388,7 @@ func (q *Request) matches(m *message) bool {
 // deliver runs at a message's wire arrival time on the destination
 // rank (eager data or rendezvous header).
 func (r *Rank) deliver(m *message) {
-	if r.dead && r.w.cancelP2P && m.req.collKey == "" {
+	if r.dead && r.w.cancelP2P && m.req.key.c == nil {
 		// Orphan cancellation: a user message arriving at a dead rank is
 		// never matched; NACK a rendezvous sender so its wait completes.
 		r.cancelDelivery(m)
@@ -383,8 +424,8 @@ func (r *Rank) matched(q *Request, m *message) {
 }
 
 // rendezvous runs the clear-to-send handshake and schedules the bulk
-// transfer's completion, reusing the message's own callback (step), so
-// a match allocates nothing. Both completion events are created on the
+// transfer's completion with the message as its handler again, so a
+// match allocates nothing. Both completion events are created on the
 // receiver's behalf, so their canonical keys come from the receiver's
 // counter.
 func (r *Rank) rendezvous(q *Request, m *message) {
@@ -396,9 +437,9 @@ func (r *Rank) rendezvous(q *Request, m *message) {
 		return
 	}
 	m.recv = q
-	r.k.AtTagged(done, r.id, r.proc.NextStamp(), m.fire)
+	r.k.AtTagged(done, r.id, r.proc.NextStamp(), m)
 	if src.sh != r.sh {
-		// Cross-shard rendezvous: step completes the receive locally, and
+		// Cross-shard rendezvous: Fire completes the receive locally, and
 		// the sender-side completion is mailed to the sender's shard now.
 		// done is at least one lookahead past the match time, so the mail
 		// is insertable at the next barrier even if this shard stalls
@@ -449,14 +490,24 @@ func (r *Rank) Waitall(qs ...*Request) {
 	}
 }
 
+// exchange is a combined send and receive in one allocation: the
+// outgoing message, which embeds the send's request, and the receive's
+// request (Sendrecv, and every round of a software collective).
+type exchange struct {
+	m message
+	q Request
+}
+
 // Sendrecv performs a combined send and receive (the halo-exchange
-// staple) and returns the received byte count.
+// staple) and returns the received byte count. The send and the
+// receive share one allocation (exchange), made in this entry frame.
 func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
-	sreq := r.isendFrac(dst, sendBytes, sendTag, 1)
-	rreq := r.irecv(src, recvTag, "")
-	r.Wait(rreq)
-	r.waitNoOverhead(sreq)
-	return rreq.msg.bytes
+	x := &exchange{m: message{bytes: sendBytes}, q: Request{r: r, isRecv: true}}
+	r.isend(&x.m, dst, sendTag, 1)
+	r.post(&x.q, src, recvTag)
+	r.Wait(&x.q)
+	r.waitNoOverhead(&x.m.req)
+	return x.q.msg.bytes
 }
 
 // probeSend, probeRecvPost, and probeMatch keep the probe's
@@ -466,7 +517,7 @@ func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
 //
 //go:noinline
 func probeSend(r *Rank, m *message) {
-	r.pb.Send(r.id, r.proc.Now(), m.req.dst, m.bytes, m.req.tag, m.req.collKey != "")
+	r.pb.Send(r.id, r.proc.Now(), int(m.req.dst), m.bytes, int(m.req.tag), m.req.key.c != nil)
 }
 
 //go:noinline
@@ -476,23 +527,24 @@ func probeRecvPost(r *Rank, src, tag int) {
 
 //go:noinline
 func probeMatch(r *Rank, m *message) {
-	r.pb.Match(r.id, r.k.Now(), m.req.r.id, m.sentAt, m.bytes, m.req.tag, m.req.collKey != "")
+	r.pb.Match(r.id, r.k.Now(), m.req.r.id, m.sentAt, m.bytes, int(m.req.tag), m.req.key.c != nil)
 }
 
-// sendColl / recvColl are the collective-internal variants keyed so
-// collective traffic can never match user receives.
-func (r *Rank) sendColl(dst, bytes int, key string) {
+// sendColl, recvColl and sendrecvColl are the collective-internal
+// variants, keyed so collective traffic can never match user receives.
+func (r *Rank) sendColl(dst, bytes int, key collKey) {
 	r.waitNoOverhead(r.isendPayload(dst, bytes, 0, key, nil))
 }
 
-func (r *Rank) recvColl(src int, key string) {
-	q := r.irecv(src, AnyTag, key)
+func (r *Rank) recvColl(src int, key collKey) {
+	q := r.irecvColl(src, key)
 	r.Wait(q)
 }
 
-func (r *Rank) sendrecvColl(dst, bytes, src int, key string) {
-	sreq := r.isendPayload(dst, bytes, 0, key, nil)
-	rreq := r.irecv(src, AnyTag, key)
-	r.Wait(rreq)
-	r.waitNoOverhead(sreq)
+func (r *Rank) sendrecvColl(dst, bytes, src int, key collKey) {
+	x := &exchange{m: message{req: Request{key: key}, bytes: bytes}, q: Request{r: r, isRecv: true, key: key}}
+	r.isend(&x.m, dst, 0, 1)
+	r.post(&x.q, src, AnyTag)
+	r.Wait(&x.q)
+	r.waitNoOverhead(&x.m.req)
 }

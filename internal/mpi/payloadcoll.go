@@ -24,7 +24,7 @@ func (c *Comm) BcastPayload(r *Rank, root, bytes int, value interface{}) interfa
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: bcast root %d out of range", root))
 	}
-	lc := c.agreeLive(r, "bcastpayload!agree")
+	lc := c.agreeLive(r, kindBcastPayloadAgree)
 	if lc != c {
 		root = remapRoot(c, lc, root)
 	}
@@ -43,7 +43,7 @@ func (c *Comm) BcastPayload(r *Rank, root, bytes int, value interface{}) interfa
 }
 
 func (c *Comm) bcastPayload(r *Rank, root, bytes int, value interface{}) interface{} {
-	key := c.nextKey(r, "bcastpayload")
+	key := c.nextKey(r, kindBcastPayload)
 	p := c.Size()
 	if p == 1 {
 		return value
@@ -54,7 +54,7 @@ func (c *Comm) bcastPayload(r *Rank, root, bytes int, value interface{}) interfa
 	for mask < p {
 		if rel&mask != 0 {
 			src := c.Member((rel - mask + root) % p)
-			q := r.irecv(src, AnyTag, key)
+			q := r.irecvColl(src, key)
 			r.Wait(q)
 			value = q.Payload()
 			break
@@ -82,7 +82,7 @@ func (c *Comm) GatherPayload(r *Rank, root, bytesPerRank int, value interface{})
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("mpi: gather root %d out of range", root))
 	}
-	lc := c.agreeLive(r, "gatherpayload!agree")
+	lc := c.agreeLive(r, kindGatherPayloadAgree)
 	if lc != c {
 		root = remapRoot(c, lc, root)
 	}
@@ -99,7 +99,7 @@ func (c *Comm) GatherPayload(r *Rank, root, bytesPerRank int, value interface{})
 }
 
 func (c *Comm) gatherPayload(r *Rank, root, bytesPerRank int, value interface{}) []interface{} {
-	key := c.nextKey(r, "gatherpayload")
+	key := c.nextKey(r, kindGatherPayload)
 	p := c.Size()
 	me := c.Rank(r)
 	if me != root {
@@ -109,7 +109,7 @@ func (c *Comm) gatherPayload(r *Rank, root, bytesPerRank int, value interface{})
 	out := make([]interface{}, p)
 	out[me] = value
 	for i := 0; i < p-1; i++ {
-		q := r.irecv(AnySource, AnyTag, key)
+		q := r.irecvColl(AnySource, key)
 		r.Wait(q)
 		out[c.Rank(q.msg.req.r)] = q.Payload()
 	}
@@ -126,7 +126,7 @@ func (c *Comm) gatherPayload(r *Rank, root, bytesPerRank int, value interface{})
 // combination of exactly the survivors' contributions — the semantic
 // the fault conformance harness checks.
 func (c *Comm) AllreducePayload(r *Rank, bytes int, value interface{}, combine Combine) interface{} {
-	lc := c.agreeLive(r, "allreducepayload!agree")
+	lc := c.agreeLive(r, kindAllreducePayloadAgree)
 	prev := r.collAlgo
 	if c.w.recovery {
 		r.collAlgo = "payload/allreduce"

@@ -53,7 +53,7 @@ func (p *PersistentRequest) Start() {
 		panic("mpi: persistent request started while active")
 	}
 	if p.isRecv {
-		p.active = p.r.irecv(p.peer, p.tag, "")
+		p.active = p.r.Irecv(p.peer, p.tag)
 		return
 	}
 	p.active = p.r.isendFrac(p.peer, p.bytes, p.tag, persistentOverheadFrac)

@@ -324,23 +324,23 @@ func remapRoot(c, lc *Comm, root int) int {
 func (c *Comm) runCollRecover(r *Rank, op opID, a CollArgs) {
 	r.checkDead()
 	w := c.w
-	key := c.nextKey(r, collOpNames[op])
+	key := c.nextKey(r, op).String()
 	label := w.selectColl(op, c.isWorld && w.treeOK, c.liveSize(), a).full
 	if r.pb != nil {
-		probeColl(r, key, label, true)
+		probeSpan(r, key, label, true)
 	}
 	dec, _ := c.sync(r, &gateCall{c: c, key: key, fin: w.recoverFinisher(c, op, a)}, nil).(*collDecision)
 	if dec != nil && dec.software {
 		a2 := a
 		a2.Root = dec.root
-		key2 := dec.lc.nextKey(r, collOpNames[op])
+		key2 := dec.lc.nextKey(r, op)
 		prev := r.collAlgo
 		r.collAlgo = dec.algo.full
 		dec.algo.Run(dec.lc, r, key2, a2)
 		r.collAlgo = prev
 	}
 	if r.pb != nil {
-		probeColl(r, key, label, false)
+		probeSpan(r, key, label, false)
 	}
 	r.checkDead()
 }
@@ -348,12 +348,12 @@ func (c *Comm) runCollRecover(r *Rank, op opID, a CollArgs) {
 // agreeLive is the recovery-mode entry step for payload collectives:
 // an agreement gate (same mechanism as runCollRecover) whose result is
 // the live communicator to run on. Outside recovery mode it is free.
-func (c *Comm) agreeLive(r *Rank, kind string) *Comm {
+func (c *Comm) agreeLive(r *Rank, kind opID) *Comm {
 	if !c.w.recovery {
 		return c
 	}
 	r.checkDead()
-	key := c.nextKey(r, kind)
+	key := c.nextKey(r, kind).String()
 	w := c.w
 	fin := func(ranks []*Rank, times []sim.Time, _ []interface{}) ([]sim.Time, interface{}) {
 		lc := c.liveComm()

@@ -136,7 +136,7 @@ func (r *Rank) WaitErr(q *Request) error {
 // byte count, or a *PeerLostError when src died under a fault plan
 // with log=sender before a matching message arrived.
 func (r *Rank) RecvErr(src, tag int) (int, error) {
-	q := r.irecv(src, tag, "")
+	q := r.Irecv(src, tag)
 	if err := r.WaitErr(q); err != nil {
 		return 0, err
 	}
@@ -155,7 +155,7 @@ func (r *Rank) waitErrNoOverhead(q *Request) *PeerLostError {
 		panic("mpi: waiting on another rank's request")
 	}
 	for !q.done {
-		if r.w.cancelP2P && q.collKey == "" {
+		if r.w.cancelP2P && q.key.c == nil {
 			if err := r.orphanCheck(q); err != nil {
 				return err
 			}
@@ -192,22 +192,24 @@ func (r *Rank) waitErrNoOverhead(q *Request) *PeerLostError {
 func (r *Rank) orphanCheck(q *Request) *PeerLostError {
 	w := r.w
 	if q.isRecv {
-		if q.src < 0 || !w.deadRank[q.src] {
+		src := int(q.src)
+		if src < 0 || !w.deadRank[src] {
 			return nil
 		}
-		r.chargeDetect(q.src)
+		r.chargeDetect(src)
 		if q.done {
 			return nil
 		}
 		r.unpost(q)
 		r.net.RecordOrphan()
-		dr := w.ranks[q.src]
-		return &PeerLostError{Rank: r.id, Peer: q.src, Node: dr.place.Node, At: r.proc.Now()}
+		dr := w.ranks[src]
+		return &PeerLostError{Rank: r.id, Peer: src, Node: dr.place.Node, At: r.proc.Now()}
 	}
-	if q.dst < 0 || !w.deadRank[q.dst] {
+	dst := int(q.dst)
+	if dst < 0 || !w.deadRank[dst] {
 		return nil
 	}
-	r.chargeDetect(q.dst)
+	r.chargeDetect(dst)
 	if !q.done {
 		q.done = true
 		r.net.RecordOrphan()
@@ -258,22 +260,29 @@ func (r *Rank) cancelDelivery(m *message) {
 		r.k.Abort(fmt.Errorf("mpi: rank %d orphan nack to rank %d: %w", r.id, src.id, err))
 		return
 	}
-	sq := &m.req
-	fn := func() {
-		if sq.done {
-			return
-		}
-		sq.done = true
-		sq.r.net.RecordOrphan()
-		if sq.waiting {
-			sq.r.proc.Wake()
-		}
-	}
 	stamp := r.proc.NextStamp()
 	if src.sh != nil && src.sh != r.sh {
-		r.sh.mail(xmail{t: ack, src: r.id, stamp: stamp, dst: src.sh, fn: fn})
+		r.sh.mail(xmail{t: ack, src: r.id, stamp: stamp, dst: src.sh, h: (*orphanNack)(m)})
 	} else {
-		r.k.AtTagged(ack, r.id, stamp, fn)
+		r.k.AtTagged(ack, r.id, stamp, (*orphanNack)(m))
+	}
+}
+
+// orphanNack is the NACK that completes a rendezvous sender whose
+// header reached a dead rank: the message itself under another type,
+// fired on the sender's kernel.
+type orphanNack message
+
+// Fire cancels the send, unless it completed meanwhile.
+func (n *orphanNack) Fire() {
+	sq := &n.req
+	if sq.done {
+		return
+	}
+	sq.done = true
+	sq.r.net.RecordOrphan()
+	if sq.waiting {
+		sq.r.proc.Wake()
 	}
 }
 
@@ -291,7 +300,7 @@ func (w *World) cancelOrphans(victims []*Rank, at sim.Time) {
 	for _, v := range victims {
 		kept := v.inbox[:0]
 		for _, m := range v.inbox {
-			if m.req.collKey != "" {
+			if m.req.key.c != nil {
 				// Collective-internal rounds complete under the gate
 				// repair in failNode; never cancel them.
 				kept = append(kept, m)
@@ -315,7 +324,7 @@ func (w *World) cancelOrphans(victims []*Rank, at sim.Time) {
 			continue
 		}
 		for _, q := range s.posted {
-			if q.waiting && q.collKey == "" && q.src >= 0 && w.deadRank[q.src] {
+			if q.waiting && q.key.c == nil && q.src >= 0 && w.deadRank[int(q.src)] {
 				s.proc.WakeAt(cancelAt)
 				woken++
 				break

@@ -1,0 +1,322 @@
+package mpi
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"testing"
+
+	"bgpsim/internal/machine"
+	"bgpsim/internal/network"
+	"bgpsim/internal/obs"
+	"bgpsim/internal/trace"
+)
+
+// fuzzReader decodes a fuzz input one choice at a time; an exhausted
+// input reads as zeros, so every input decodes to a complete program.
+type fuzzReader struct {
+	b []byte
+	i int
+}
+
+// pick returns a choice in [0, n).
+func (f *fuzzReader) pick(n int) int {
+	if f.i >= len(f.b) {
+		return 0
+	}
+	v := int(f.b[f.i]) % n
+	f.i++
+	return v
+}
+
+// fuzzOp is one global phase of a decoded program. Every phase is
+// deadlock-free on its own: each rank runs the phase's whole pattern
+// before moving to the next, and every receive has exactly one send.
+type fuzzOp struct {
+	kind  int
+	bytes int
+	perm  []int // exchanges: rank i sends to perm[i]
+	inv   []int
+	root  int
+	color int // split phases: ranks split by id % color
+	coll  int // which collective a collective or payload phase runs
+	flops float64
+}
+
+// wild reports whether the phase posts AnySource receives: a plain
+// AnySource phase, a payload gather or allreduce (GatherPayload
+// receives from AnySource), or a split phase folding a payload
+// allreduce.
+func (o fuzzOp) wild() bool {
+	switch o.kind {
+	case fzAnySource:
+		return true
+	case fzPayload:
+		return o.coll > 0
+	case fzSplit:
+		return o.coll >= 3
+	}
+	return false
+}
+
+const (
+	fzExchange   = iota // Sendrecv along a random permutation
+	fzAnySource         // every rank sends to the root, which receives from AnySource
+	fzIsendRing         // Isend/Irecv ring of either direction, then Waitall
+	fzCollective        // one world collective
+	fzSplit             // Split, then a collective on the sub-communicator (and a payload allreduce)
+	fzPayload           // a payload collective, folded into the rank's value
+	fzCompute           // rank-skewed compute
+	numFuzzKinds
+)
+
+// fuzzSizes mixes eager messages and rendezvous ones (BG/P's eager
+// limit is 1,200 B).
+var fuzzSizes = []int{0, 8, 1024, 1201, 8192, 65536}
+
+// decodeProgram turns a fuzz input into a node count (BG/P SMP, one
+// rank per node), collective overrides forcing software algorithms,
+// and a phase list.
+func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp) {
+	f := &fuzzReader{b: data}
+	nodes = []int{4, 8, 16}[f.pick(3)]
+	ranks := nodes
+	coll = make(map[string]string)
+	for _, op := range CollOps() {
+		var soft []string
+		for _, name := range CollAlgos(op) {
+			if !collRegistry[algoKey{op, name}].HW {
+				soft = append(soft, name)
+			}
+		}
+		coll[op] = soft[f.pick(len(soft))]
+	}
+	n := 1 + f.pick(10)
+	for i := 0; i < n; i++ {
+		o := fuzzOp{kind: f.pick(numFuzzKinds), bytes: fuzzSizes[f.pick(len(fuzzSizes))]}
+		switch o.kind {
+		case fzExchange:
+			o.perm = make([]int, ranks)
+			for j := range o.perm {
+				o.perm[j] = j
+			}
+			for j := ranks - 1; j > 0; j-- {
+				k := f.pick(j + 1)
+				o.perm[j], o.perm[k] = o.perm[k], o.perm[j]
+			}
+			o.inv = make([]int, ranks)
+			for j, v := range o.perm {
+				o.inv[v] = j
+			}
+		case fzAnySource:
+			o.root = f.pick(ranks)
+		case fzPayload:
+			o.root = f.pick(ranks)
+			o.coll = f.pick(3)
+		case fzIsendRing:
+			o.root = 1 + f.pick(ranks-1) // ring stride
+		case fzCollective:
+			o.coll = f.pick(10)
+			o.root = f.pick(ranks)
+		case fzSplit:
+			o.color = 1 + f.pick(4)
+			o.coll = f.pick(6)
+		case fzCompute:
+			o.flops = float64(1+f.pick(8)) * 1e4
+		}
+		ops = append(ops, o)
+	}
+	return nodes, coll, ops
+}
+
+// fuzzProgram returns the rank body of a decoded program. Payload
+// results land in vals[rank], one slot per rank, so ranks on
+// concurrent shard kernels never share a word.
+func fuzzProgram(ops []fuzzOp, vals []int) func(*Rank) {
+	sum := func(a, b interface{}) interface{} { return a.(int) + b.(int) }
+	return func(r *Rank) {
+		me, p := r.ID(), r.Size()
+		w := r.World()
+		for i, o := range ops {
+			switch o.kind {
+			case fzExchange:
+				if o.perm[me] != me {
+					r.Sendrecv(o.perm[me], o.bytes, i, o.inv[me], i)
+				}
+			case fzAnySource:
+				if me != o.root {
+					r.Send(o.root, o.bytes+me, i)
+					continue
+				}
+				for k := 1; k < p; k++ {
+					vals[me] = vals[me]*31 + r.Recv(AnySource, i)
+				}
+			case fzIsendRing:
+				dst, src := (me+o.root)%p, (me-o.root+p)%p
+				rq := r.Irecv(src, i)
+				sq := r.Isend(dst, o.bytes, i)
+				r.Waitall(rq, sq)
+			case fzCollective:
+				runFuzzColl(w, r, o, i)
+			case fzSplit:
+				sub := w.Split(r, me%o.color, p-me)
+				switch o.coll % 3 {
+				case 0:
+					sub.Allreduce(r, o.bytes, i%2 == 0)
+				case 1:
+					sub.Bcast(r, 0, o.bytes)
+				default:
+					sub.Alltoall(r, o.bytes/4+1)
+				}
+				if o.wild() {
+					v := sub.AllreducePayload(r, 8, me+i, sum).(int)
+					vals[me] = vals[me]*31 + v
+				}
+			case fzPayload:
+				var v int
+				switch o.coll {
+				case 0:
+					v = w.BcastPayload(r, o.root, o.bytes, o.root*7+i).(int)
+				case 1:
+					for _, x := range w.GatherPayload(r, o.root, o.bytes, me) {
+						v = v*31 + x.(int)
+					}
+				default:
+					v = w.AllreducePayload(r, o.bytes, me*7+i, sum).(int)
+				}
+				vals[me] = vals[me]*31 + v
+			case fzCompute:
+				r.Compute(o.flops*float64(1+me%3), 0, machine.ClassDGEMM)
+			}
+		}
+	}
+}
+
+// runFuzzColl runs one world collective.
+func runFuzzColl(w *Comm, r *Rank, o fuzzOp, i int) {
+	b := o.bytes
+	switch o.coll {
+	case 0:
+		w.Barrier(r)
+	case 1:
+		w.Bcast(r, o.root, b)
+	case 2:
+		w.Allreduce(r, b, i%2 == 0)
+	case 3:
+		w.Reduce(r, o.root, b, true)
+	case 4:
+		w.Allgather(r, b/8+1)
+	case 5:
+		w.Alltoall(r, b/8+1)
+	case 6:
+		w.Gather(r, o.root, b/8+1)
+	case 7:
+		w.Scatter(r, o.root, b/8+1)
+	case 8:
+		w.Scan(r, b)
+	default:
+		w.ReduceScatter(r, b/8+1)
+	}
+}
+
+// modeRun is everything FuzzRunModes compares between run modes.
+type modeRun struct {
+	result  string // Result values, payload outcomes, or the error
+	ties    string // the Result values that depend on the tie rule
+	dump    []byte // the -events dump
+	profile string // the obs profile
+}
+
+// runMode runs a decoded program at the given shard count (0 = the
+// serial kernel) with a trace buffer and an obs recorder attached.
+func runMode(nodes int, coll map[string]string, ops []fuzzOp, shards int) modeRun {
+	cfg := Config{Machine: machine.Get(machine.BGP), Nodes: nodes, Mode: machine.SMP,
+		Fidelity: network.Analytic, Coll: coll, Shards: shards}
+	tb := trace.NewBuffer(0)
+	rec := obs.NewRecorder()
+	cfg.Trace, cfg.Probe = tb, rec
+	vals := make([]int, nodes)
+	res, err := Execute(cfg, fuzzProgram(ops, vals))
+	var m modeRun
+	if err != nil {
+		m.result = "error: " + err.Error()
+	} else {
+		m.result = fmt.Sprintf("elapsed=%d ranks=%v lost=%v net={%s} vals=%v",
+			res.Elapsed, res.RankElapsed, res.Lost, statString(res.Net), vals)
+		// Whether a process is woken by a same-time completion, and
+		// whether a message meets its receive or waits in the inbox for
+		// it, follow the same-timestamp order of events.
+		m.ties = fmt.Sprintf("events=%d peak=%d", res.Events, res.PeakRankState)
+	}
+	var buf bytes.Buffer
+	tb.Dump(&buf)
+	m.dump = buf.Bytes()
+	m.profile = fmt.Sprintf("%+v", *rec.Profile())
+	return m
+}
+
+// sortedLines returns the lines of a dump in sorted order.
+func sortedLines(b []byte) []byte {
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	sort.Slice(lines, func(i, j int) bool { return bytes.Compare(lines[i], lines[j]) < 0 })
+	return bytes.Join(lines, nil)
+}
+
+// FuzzRunModes is a differential fuzzer over the run modes. It decodes
+// the input into a deadlock-free random program on the analytic
+// network, with every collective forced onto a fuzz-chosen software
+// algorithm, that mixes permutation exchanges, AnySource receives,
+// Isend/Irecv rings, rendezvous-size messages, world collectives,
+// Split sub-communicator collectives and payload collectives. It runs
+// the program at shards 1, 2 and 4 and requires the same Result, the
+// same payload outcomes, the same -events dump bytes and the same obs
+// profile from each.
+//
+// The serial kernel breaks same-timestamp ties by creation order and
+// the sharded kernels by canonical key (ROADMAP, "One kernel tie
+// rule"), so serial runs are held to what does not depend on the tie
+// rule. For programs without AnySource receives — where two messages
+// reaching one wildcard receive at the same time may match in either
+// order — the serial kernel must produce the same Result apart from
+// the event count and the peak rank state, the same payload outcomes,
+// the same obs profile and the same -events records, in any order
+// within a timestamp. The programs run one rank per node, which keeps
+// the node shared-memory channel, the other tie-sensitive state, out.
+func FuzzRunModes(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 9, 0, 3, 0, 1, 1, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 3, 1, 2, 1, 0, 2, 1, 0, 1, 2, 9, 1, 4, 3, 2, 5, 3, 4, 1, 2, 4, 2, 5, 5, 3, 0, 7, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nodes, coll, ops := decodeProgram(data)
+		wild := false
+		for _, o := range ops {
+			wild = wild || o.wild()
+		}
+		want := runMode(nodes, coll, ops, 1)
+		modes := []int{2, 4}
+		if !wild {
+			modes = append(modes, 0)
+		}
+		for _, shards := range modes {
+			got := runMode(nodes, coll, ops, shards)
+			if got.result != want.result {
+				t.Fatalf("shards=%d: result\n got %s\nwant %s (shards=1)", shards, got.result, want.result)
+			}
+			if shards != 0 && got.ties != want.ties {
+				t.Fatalf("shards=%d: %s, shards=1 %s", shards, got.ties, want.ties)
+			}
+			gd, wd := got.dump, want.dump
+			if shards == 0 {
+				// The serial kernel orders same-timestamp events by creation,
+				// so the same records may come in another order.
+				gd, wd = sortedLines(gd), sortedLines(wd)
+			}
+			if !bytes.Equal(gd, wd) {
+				t.Fatalf("shards=%d: -events dump differs from shards=1\n got %s\nwant %s", shards, gd, wd)
+			}
+			if got.profile != want.profile {
+				t.Fatalf("shards=%d: obs profile\n got %s\nwant %s (shards=1)", shards, got.profile, want.profile)
+			}
+		}
+	})
+}

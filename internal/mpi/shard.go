@@ -53,23 +53,21 @@ import (
 	"bgpsim/internal/topology"
 )
 
-// xmail is one cross-shard message: a callback to schedule on the
+// xmail is one cross-shard message: a handler to schedule on the
 // destination shard's kernel at time t. Mail is collected in per-shard
 // outboxes during a window and inserted at the barrier under the
 // creator's canonical key (src, stamp) — the key the event would have
 // carried had it been scheduled locally, so the destination's keyed
 // heap fires it at the same same-timestamp position at any shard
-// count. sendDone, set instead of fn, marks the one bookkeeping event
-// with no serial counterpart — a rendezvous sender's completion — whose
-// callback the coordinator builds at the barrier (off the rank stack
-// that matched the header) and excludes from the event count.
+// count. The handler is a message (its delivery), a sendDone (a
+// rendezvous sender's completion) or an orphanNack: each is the
+// message record itself, so mail allocates nothing per message.
 type xmail struct {
-	t        sim.Time
-	src      int
-	stamp    uint64
-	dst      *shard
-	fn       func()
-	sendDone *message
+	t     sim.Time
+	src   int
+	stamp uint64
+	dst   *shard
+	h     sim.Handler
 }
 
 // shardGateEntry is one rank's arrival at a collective gate, logged on
@@ -402,14 +400,10 @@ func (w *World) drainMail() bool {
 	for _, sh := range w.shards {
 		for _, m := range sh.outbox {
 			k := m.dst.k
-			fn := m.fn
-			if sm := m.sendDone; sm != nil {
-				fn = func() { sm.completeSend(); k.Uncount() }
-			}
 			if shardMailLocalOrder {
-				k.At(m.t, fn)
+				k.At(m.t, m.h.Fire)
 			} else {
-				k.AtTagged(m.t, m.src, m.stamp, fn)
+				k.AtTagged(m.t, m.src, m.stamp, m.h)
 			}
 			mailed = true
 		}

@@ -74,16 +74,3 @@ func TestAllExperimentsRunReduced(t *testing.T) {
 		})
 	}
 }
-
-func TestAllClaimsVerify(t *testing.T) {
-	if raceEnabled {
-		t.Skip("claim sweep is minutes-long under -race; the non-race run covers it and TestAllExperimentsRunReduced covers the concurrent paths")
-	}
-	for _, r := range VerifyClaims(Options{}) {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Claim.ID, r.Err)
-		} else if !r.Pass {
-			t.Errorf("%s failed: %s", r.Claim.ID, r.Detail)
-		}
-	}
-}

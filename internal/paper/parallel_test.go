@@ -58,22 +58,36 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestVerifyClaimsOrderStable checks that concurrent claim
-// verification preserves registration order.
+// TestVerifyClaimsOrderStable verifies every paper claim once at -j 1,
+// requiring each to pass in registration order, then (outside -short)
+// again at -j 8, requiring the same results in the same order.
 func TestVerifyClaimsOrderStable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every claim twice")
-	}
 	if raceEnabled {
 		t.Skip("claim sweep is minutes-long under -race; Sweep concurrency is covered by TestWorkerCountInvariance")
 	}
 	defer runner.SetWorkers(0)
-	runner.SetWorkers(8)
-	a := VerifyClaims(Options{})
 	runner.SetWorkers(1)
 	b := VerifyClaims(Options{})
-	if len(a) != len(b) || len(a) != len(claims) {
-		t.Fatalf("got %d and %d results for %d claims", len(a), len(b), len(claims))
+	if len(b) != len(claims) {
+		t.Fatalf("got %d results for %d claims", len(b), len(claims))
+	}
+	for i, r := range b {
+		if r.Claim.ID != claims[i].ID {
+			t.Errorf("result %d is %q, want %q", i, r.Claim.ID, claims[i].ID)
+		}
+		if r.Err != nil {
+			t.Errorf("%s: %v", r.Claim.ID, r.Err)
+		} else if !r.Pass {
+			t.Errorf("%s failed: %s", r.Claim.ID, r.Detail)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	runner.SetWorkers(8)
+	a := VerifyClaims(Options{})
+	if len(a) != len(b) {
+		t.Fatalf("got %d results at -j 8 and %d at -j 1", len(a), len(b))
 	}
 	for i := range a {
 		if a[i].Claim.ID != claims[i].ID {

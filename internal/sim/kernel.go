@@ -6,19 +6,29 @@ import (
 	"strings"
 )
 
-// event is a scheduled callback. Events with equal timestamps fire in
+// Handler is what an event runs when it fires. A process is one (its
+// resume events carry the *Proc), and model layers make their own
+// records handlers so that scheduling one allocates nothing beyond the
+// record itself: an event stores the receiver pointer instead of a
+// closure capturing it.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts a plain callback to Handler. A func value is a single
+// pointer, so converting one to a Handler does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a scheduled handler. Events with equal timestamps fire in
 // the order they were scheduled (FIFO via seq), which makes runs
 // deterministic.
-//
-// Exactly one of proc and fn is set. Process resumes (Sleep, Wake,
-// Spawn) are the hottest scheduling path, so they store the process
-// pointer directly instead of capturing it in a closure: that saves
-// one heap allocation per event.
 type event struct {
-	t    Time
-	seq  uint64
-	proc *Proc
-	fn   func()
+	t   Time
+	seq uint64
+	h   Handler
 }
 
 // less orders events by (timestamp, schedule order).
@@ -56,7 +66,7 @@ func (q *eventQueue) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // drop fn/proc references so the GC can reclaim them
+	h[n] = event{} // drop the handler reference so the GC can reclaim it
 	h = h[:n]
 	*q = h
 	i := 0
@@ -200,51 +210,62 @@ func (k *Kernel) keyFor(p *Proc) uint64 {
 	return packKey(-1, k.seq)
 }
 
-// schedule enqueues an event at absolute time t carrying either a
-// process resume or a callback. Scheduling in the past panics: it
-// would break causality.
-func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
+// schedule enqueues handler h at absolute time t. Scheduling in the
+// past panics: it would break causality.
+func (k *Kernel) schedule(t Time, h Handler) {
 	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+		k.pastEvent(t)
 	}
 	var key uint64
 	if k.keyed {
 		// Canonical keys are not monotone in creation order, so the runq
 		// FIFO fast path would misorder same-timestamp events: keyed
-		// kernels always pay the heap.
+		// kernels always pay the heap. A resume is keyed by the resumed
+		// process, anything else by the kernel's own counter.
+		p, _ := h.(*Proc)
 		key = k.keyFor(p)
 	} else {
 		k.seq++
 		key = k.seq
 		if t == k.now {
-			k.runq = append(k.runq, event{t: t, seq: key, proc: p, fn: fn})
+			k.runq = append(k.runq, event{t: t, seq: key, h: h})
 			return
 		}
 	}
-	k.events.push(event{t: t, seq: key, proc: p, fn: fn})
+	k.events.push(event{t: t, seq: key, h: h})
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would break causality.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
+func (k *Kernel) At(t Time, fn func()) { k.schedule(t, Func(fn)) }
 
-// AtTagged schedules fn at time t under an explicit canonical key:
-// the creator's rank tag and a stamp drawn from that creator's counter
-// (Proc.NextStamp). The MPI layer uses it for events whose creator is
-// not the kernel's running process — a message delivery created by the
-// sender but fired on the receiver's kernel — so the event sorts at
-// the same canonical position whether it was scheduled locally or
-// through the inter-shard mailbox. On a non-keyed kernel it is plain
-// At.
-func (k *Kernel) AtTagged(t Time, tag int, stamp uint64, fn func()) {
+// AtTagged schedules handler h at time t under an explicit canonical
+// key: the creator's rank tag and a stamp drawn from that creator's
+// counter (Proc.NextStamp). The MPI layer uses it for events whose
+// creator is not the kernel's running process — a message delivery
+// created by the sender but fired on the receiver's kernel — so the
+// event sorts at the same canonical position whether it was scheduled
+// locally or through the inter-shard mailbox. On a non-keyed kernel it
+// schedules in creation order, like At.
+func (k *Kernel) AtTagged(t Time, tag int, stamp uint64, h Handler) {
 	if !k.keyed {
-		k.At(t, fn)
+		k.schedule(t, h)
 		return
 	}
 	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
+		k.pastEvent(t)
 	}
-	k.events.push(event{t: t, seq: packKey(tag, stamp), fn: fn})
+	k.events.push(event{t: t, seq: packKey(tag, stamp), h: h})
+}
+
+// pastEvent panics on an event scheduled before now. It is kept out of
+// line so the fmt call's frame stays off schedule and AtTagged, which
+// run on simulated processes' stacks (a message delivery is scheduled
+// from the sending rank's deepest frame).
+//
+//go:noinline
+func (k *Kernel) pastEvent(t Time) {
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 }
 
 // Keyed switches the kernel to canonical same-timestamp ordering (see
@@ -277,7 +298,7 @@ func (k *Kernel) atResume(t Time, p *Proc) {
 		return
 	}
 	p.resumePending = true
-	k.schedule(t, p, nil)
+	k.schedule(t, p)
 }
 
 // BlockedProc describes one blocked process of a deadlock report.
@@ -476,10 +497,15 @@ func (k *Kernel) PeekKey() (Time, uint64, bool) {
 // a non-nil error when the run must end now.
 func (k *Kernel) fire(e event) error {
 	k.now = e.t
-	if e.proc != nil {
-		k.runProc(e.proc)
-	} else {
-		e.fn()
+	// Process resumes and plain callbacks are the common events: call
+	// them directly rather than through the interface.
+	switch h := e.h.(type) {
+	case *Proc:
+		k.runProc(h)
+	case Func:
+		h()
+	default:
+		h.Fire()
 	}
 	k.fired++
 	if k.abortErr != nil {

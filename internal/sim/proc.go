@@ -60,6 +60,11 @@ func (p *Proc) NextStamp() uint64 {
 	return p.stampCtr
 }
 
+// Fire resumes the process: a process is the Handler of its own resume
+// events (Sleep, Wake, Spawn). Model code resumes a process with Wake
+// or WakeAt, never by calling Fire.
+func (p *Proc) Fire() { p.k.runProc(p) }
+
 // SetTag labels the process for probe callbacks; the MPI layer uses
 // the rank id. Untagged processes report -1.
 func (p *Proc) SetTag(tag int) { p.tag = tag }

@@ -2,7 +2,10 @@ package paper
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"bgpsim/internal/runner"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -72,5 +75,44 @@ func TestAllExperimentsRunReduced(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// serialClaims verifies every paper claim once at -j 1 and memoises the
+// results, so TestAllClaimsVerify and TestVerifyClaimsOrderStable share
+// one serial sweep per test binary.
+var serialClaims struct {
+	once sync.Once
+	res  []ClaimResult
+}
+
+func serialClaimResults() []ClaimResult {
+	serialClaims.once.Do(func() {
+		defer runner.SetWorkers(0)
+		runner.SetWorkers(1)
+		serialClaims.res = VerifyClaims(Options{})
+	})
+	return serialClaims.res
+}
+
+// TestAllClaimsVerify requires every paper claim to pass at -j 1, with
+// the results in registration order.
+func TestAllClaimsVerify(t *testing.T) {
+	if raceEnabled {
+		t.Skip("claim sweep is minutes-long under -race; the non-race run covers it and TestAllExperimentsRunReduced covers the concurrent paths")
+	}
+	res := serialClaimResults()
+	if len(res) != len(claims) {
+		t.Fatalf("got %d results for %d claims", len(res), len(claims))
+	}
+	for i, r := range res {
+		if r.Claim.ID != claims[i].ID {
+			t.Errorf("result %d is %q, want %q", i, r.Claim.ID, claims[i].ID)
+		}
+		if r.Err != nil {
+			t.Errorf("%s: %v", r.Claim.ID, r.Err)
+		} else if !r.Pass {
+			t.Errorf("%s failed: %s", r.Claim.ID, r.Detail)
+		}
 	}
 }

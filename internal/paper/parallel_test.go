@@ -58,32 +58,21 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestVerifyClaimsOrderStable verifies every paper claim once at -j 1,
-// requiring each to pass in registration order, then (outside -short)
-// again at -j 8, requiring the same results in the same order.
+// TestVerifyClaimsOrderStable verifies every paper claim at -j 8 and
+// requires the same results, in the same order, as the shared -j 1
+// sweep that TestAllClaimsVerify checks for pass.
 func TestVerifyClaimsOrderStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every claim twice")
+	}
 	if raceEnabled {
 		t.Skip("claim sweep is minutes-long under -race; Sweep concurrency is covered by TestWorkerCountInvariance")
 	}
-	defer runner.SetWorkers(0)
-	runner.SetWorkers(1)
-	b := VerifyClaims(Options{})
+	b := serialClaimResults()
 	if len(b) != len(claims) {
 		t.Fatalf("got %d results for %d claims", len(b), len(claims))
 	}
-	for i, r := range b {
-		if r.Claim.ID != claims[i].ID {
-			t.Errorf("result %d is %q, want %q", i, r.Claim.ID, claims[i].ID)
-		}
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Claim.ID, r.Err)
-		} else if !r.Pass {
-			t.Errorf("%s failed: %s", r.Claim.ID, r.Detail)
-		}
-	}
-	if testing.Short() {
-		return
-	}
+	defer runner.SetWorkers(0)
 	runner.SetWorkers(8)
 	a := VerifyClaims(Options{})
 	if len(a) != len(b) {

@@ -8,7 +8,6 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 
 	"bgpsim/internal/cpu"
 	"bgpsim/internal/fault"
@@ -534,7 +533,7 @@ func (w *World) spawnRanks(program func(*Rank)) {
 				r.done()
 			}
 		}
-		r.proc = r.k.SpawnTagged("rank "+strconv.Itoa(r.id), r.id, body)
+		r.proc = r.k.SpawnNumbered("rank ", r.id, body)
 	}
 }
 

@@ -164,6 +164,39 @@ func BenchmarkKernelSleepFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelKeyedLockstep measures the keyed kernels' queue on
+// the shape of a sharded halo step: 4096 tagged processes advance in
+// lockstep, so every timestamp holds thousands of events. Each round
+// every even process sleeps and then blocks, and its odd partner sleeps
+// and then wakes it, an at-now arrival at the bucket being fired. One
+// iteration is one event.
+func BenchmarkKernelKeyedLockstep(b *testing.B) {
+	const procs = 4096
+	b.ReportAllocs()
+	k := sim.NewKernel()
+	k.Keyed()
+	rounds := b.N/(procs*3/2) + 1
+	ps := make([]*sim.Proc, procs)
+	for i := range ps {
+		i := i
+		ps[i] = k.SpawnTagged("lockstep", i, func(p *sim.Proc) {
+			for r := 0; r < rounds; r++ {
+				p.Sleep(sim.Nanosecond)
+				if i%2 == 0 {
+					p.Block("await partner")
+				} else {
+					ps[i-1].Wake()
+				}
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds(), "events/s")
+}
+
 // BenchmarkKernelAllreduce512 is the end-to-end hot path: a 512-rank
 // double-precision allreduce on BG/P (128 VN nodes), the collective
 // the paper's Figure 3 sweeps. Allocations here cover the whole

@@ -23,8 +23,8 @@ type Func func()
 func (f Func) Fire() { f() }
 
 // event is a scheduled handler. Events with equal timestamps fire in
-// the order they were scheduled (FIFO via seq), which makes runs
-// deterministic.
+// seq order: the order they were scheduled on the serial kernel, the
+// canonical key on keyed kernels. Either makes runs deterministic.
 type event struct {
 	t   Time
 	seq uint64
@@ -101,6 +101,8 @@ type Kernel struct {
 	seq   uint64
 	fired uint64
 
+	// events and runq are the serial kernel's queue; keyed kernels use
+	// kq instead.
 	events eventQueue
 
 	// runq is the same-timestamp fast path: events scheduled at the
@@ -112,6 +114,12 @@ type Kernel struct {
 	// head-indexed slice preserves the exact seed ordering.
 	runq     []event
 	runqHead int
+
+	// kq is the keyed kernels' queue: per-timestamp buckets sorted by
+	// canonical key when they open (see bucketQueue). The serial kernel
+	// keeps the heap and runq: it sees about three events per
+	// timestamp, too few for buckets to pay.
+	kq bucketQueue
 
 	procs    []*Proc
 	live     int // spawned processes that have not finished
@@ -138,8 +146,8 @@ type Kernel struct {
 	// barrier time, not at send time — but each creator's own stamp
 	// sequence is a function of that rank's execution alone, so keyed
 	// ordering is identical at every shard count. Sharded runs enable it
-	// on every shard kernel; the serial kernel keeps seq order and its
-	// seed-pinned outputs.
+	// on every shard kernel, whose events then live in kq; the serial
+	// kernel keeps seq order and its seed-pinned outputs.
 	keyed bool
 
 	// EventLimit, when nonzero, aborts Run with an error after this
@@ -216,23 +224,21 @@ func (k *Kernel) schedule(t Time, h Handler) {
 	if t < k.now {
 		k.pastEvent(t)
 	}
-	var key uint64
 	if k.keyed {
-		// Canonical keys are not monotone in creation order, so the runq
-		// FIFO fast path would misorder same-timestamp events: keyed
-		// kernels always pay the heap. A resume is keyed by the resumed
-		// process, anything else by the kernel's own counter.
+		// A resume is keyed by the resumed process, anything else by the
+		// kernel's own counter. Canonical keys are not monotone in
+		// creation order, so same-timestamp events are ordered when
+		// their bucket opens, not by the runq FIFO.
 		p, _ := h.(*Proc)
-		key = k.keyFor(p)
-	} else {
-		k.seq++
-		key = k.seq
-		if t == k.now {
-			k.runq = append(k.runq, event{t: t, seq: key, h: h})
-			return
-		}
+		k.kq.push(t, k.keyFor(p), h)
+		return
 	}
-	k.events.push(event{t: t, seq: key, h: h})
+	k.seq++
+	if t == k.now {
+		k.runq = append(k.runq, event{t: t, seq: k.seq, h: h})
+		return
+	}
+	k.events.push(event{t: t, seq: k.seq, h: h})
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -255,7 +261,7 @@ func (k *Kernel) AtTagged(t Time, tag int, stamp uint64, h Handler) {
 	if t < k.now {
 		k.pastEvent(t)
 	}
-	k.events.push(event{t: t, seq: packKey(tag, stamp), h: h})
+	k.kq.push(t, packKey(tag, stamp), h)
 }
 
 // pastEvent panics on an event scheduled before now. It is kept out of
@@ -381,10 +387,14 @@ func (k *Kernel) Abort(err error) {
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// next dequeues the globally minimal pending event, preferring the
-// run-queue head when it wins the (t, seq) comparison against the heap
-// top. The second result is false when both queues are empty.
+// next dequeues the globally minimal pending event. On the serial
+// kernel it prefers the run-queue head when that wins the (t, seq)
+// comparison against the heap top. The second result is false when no
+// event is pending.
 func (k *Kernel) next() (event, bool) {
+	if k.keyed {
+		return k.kq.pop()
+	}
 	if k.runqHead < len(k.runq) {
 		head := &k.runq[k.runqHead]
 		if len(k.events) > 0 && k.events[0].less(head) {
@@ -460,6 +470,9 @@ func (k *Kernel) Release() {
 // PeekTime returns the timestamp of the earliest pending event without
 // dequeuing it. The second result is false when no event is pending.
 func (k *Kernel) PeekTime() (Time, bool) {
+	if k.keyed {
+		return k.kq.peekTime()
+	}
 	if k.runqHead < len(k.runq) {
 		head := &k.runq[k.runqHead]
 		if len(k.events) > 0 && k.events[0].less(head) {
@@ -477,8 +490,13 @@ func (k *Kernel) PeekTime() (Time, bool) {
 // pending event without dequeuing it. The sharded coordinator compares
 // (time, key) across shard kernels to pick the globally canonical next
 // event when every shard is gated. The third result is false when no
-// event is pending.
+// event is pending. On a keyed kernel it may open the earliest
+// timestamp bucket, which sorts that bucket once; an event scheduled
+// afterwards for an earlier time puts the bucket back.
 func (k *Kernel) PeekKey() (Time, uint64, bool) {
+	if k.keyed {
+		return k.kq.peekKey()
+	}
 	if k.runqHead < len(k.runq) {
 		head := &k.runq[k.runqHead]
 		if len(k.events) > 0 && k.events[0].less(head) {

@@ -1,0 +1,371 @@
+package sim
+
+import (
+	"container/heap"
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// FuzzKeyedQueueOrder drives a keyed kernel with a random schedule and
+// checks every fired event against a reference (time, key) heap kept
+// by the test: the bucket queue must fire exactly the minimum pending
+// pair each time. The schedule mixes At, AtTagged under arbitrary and
+// process-drawn stamps, at-now and future times, and processes that
+// Spawn, Sleep, Block and Wake one another. Between events the test
+// interleaves PeekTime, PeekKey, RunWindow (whose events may lower the
+// bound with LimitWindow) and StepOne, and schedules from outside,
+// including before a bucket that a PeekKey has already opened.
+func FuzzKeyedQueueOrder(f *testing.F) {
+	// Hand-written seeds: lockstep sleepers, late arrivals at the open
+	// time, and a schedule below a peeked bucket.
+	f.Add([]byte{7, 7, 7, 7, 4, 20, 4, 20, 5, 5, 3, 2})
+	f.Add([]byte{0, 3, 0, 3, 1, 3, 8, 0, 3, 1, 3, 0, 0, 0, 4, 40, 5, 2, 3})
+	f.Add([]byte{7, 2, 0, 7, 6, 3, 1, 6, 3, 5, 8, 1, 4, 3, 6, 0, 0, 4, 60})
+	rng := NewRNG(22)
+	for i := 0; i < 12; i++ {
+		b := make([]byte, 64+rng.Intn(448))
+		for j := range b {
+			b[j] = byte(rng.Intn(256))
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkKeyedOrder(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// refEvent is a pending event of the reference model.
+type refEvent struct {
+	t   Time
+	key uint64
+}
+
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].key < h[j].key
+}
+func (h refHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)    { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() (x any)  { x, *h = (*h)[len(*h)-1], (*h)[:len(*h)-1]; return x }
+func (h refHeap) min() *refEvent { return &h[0] }
+
+// keyedHarness runs one fuzz schedule. Process bodies run on their
+// coroutines, so a mismatch is recorded in err rather than reported
+// with t.Fatal; the test loop stops at the first one.
+type keyedHarness struct {
+	k      *Kernel
+	data   []byte
+	pos    int
+	ref    refHeap
+	used   map[uint64]bool // keys of AtTagged events with free stamps
+	procs  []*Proc
+	expect map[*Proc]uint64 // key of each process's one pending resume
+	err    error
+}
+
+// fuzzMaxProcs bounds the processes (each a coroutine) one input makes.
+const fuzzMaxProcs = 24
+
+// fuzzArbitraryTag is the lowest tag of events whose stamps are drawn
+// freely rather than from a process counter; it lies above every
+// process tag so the two never collide.
+const fuzzArbitraryTag = 1000
+
+type fuzzEvent struct {
+	h   *keyedHarness
+	key uint64
+}
+
+// Fire checks the event against the reference and takes a child
+// action: a schedule at or after now, a wake, a spawn, or a lower
+// window bound.
+func (e *fuzzEvent) Fire() {
+	h := e.h
+	h.fired(e.key)
+	b, ok := h.next()
+	if !ok {
+		return
+	}
+	switch b % 8 {
+	case 0:
+		h.schedAt(h.at())
+	case 1:
+		h.schedTagged(h.at())
+	case 2:
+		h.wake(h.at())
+	case 3:
+		h.spawn()
+	case 4:
+		h.k.LimitWindow(h.at())
+	}
+}
+
+func (h *keyedHarness) next() (byte, bool) {
+	if h.err != nil || h.pos >= len(h.data) {
+		return 0, false
+	}
+	b := h.data[h.pos]
+	h.pos++
+	return b, true
+}
+
+func (h *keyedHarness) failf(format string, args ...any) {
+	if h.err == nil {
+		h.err = fmt.Errorf(format, args...)
+	}
+}
+
+// at draws a time at or after now from a few offsets, so that many
+// events share each timestamp.
+func (h *keyedHarness) at() Time {
+	b, _ := h.next()
+	return h.k.now.Add([]Duration{0, 0, 1, 1, 2, 3, 5, 8}[b%8] * Nanosecond)
+}
+
+func (h *keyedHarness) expectAt(t Time, key uint64) {
+	heap.Push(&h.ref, refEvent{t, key})
+}
+
+// fired pops the reference minimum and compares it with the event the
+// kernel is firing.
+func (h *keyedHarness) fired(key uint64) {
+	if len(h.ref) == 0 {
+		h.failf("fired (%v, %#x) with no event pending in the reference", h.k.now, key)
+		return
+	}
+	want := heap.Pop(&h.ref).(refEvent)
+	if want.t != h.k.now || want.key != key {
+		h.failf("fired (%v, %#x), reference expects (%v, %#x)", h.k.now, key, want.t, want.key)
+	}
+}
+
+func (h *keyedHarness) schedAt(t Time) {
+	e := &fuzzEvent{h: h}
+	h.k.At(t, e.Fire)
+	e.key = packKey(-1, h.k.seq)
+	h.expectAt(t, e.key)
+}
+
+// schedTagged schedules under an arbitrary tag and stamp, skipping
+// stamps already used so that every pending key is distinct.
+func (h *keyedHarness) schedTagged(t Time) {
+	a, _ := h.next()
+	b, _ := h.next()
+	tag, stamp := fuzzArbitraryTag+int(a%16), uint64(b)<<8|uint64(a)
+	for h.used[packKey(tag, stamp)] {
+		stamp++
+	}
+	e := &fuzzEvent{h: h, key: packKey(tag, stamp)}
+	h.used[e.key] = true
+	h.k.AtTagged(t, tag, stamp, e)
+	h.expectAt(t, e.key)
+}
+
+// resumeKey is the key the kernel gave p's latest resume.
+func (h *keyedHarness) resumeKey(p *Proc) uint64 {
+	if p.tag >= 0 {
+		return packKey(p.tag, p.stampCtr)
+	}
+	return packKey(-1, h.k.seq)
+}
+
+// wake resumes a blocked process with no resume in flight, so each
+// process has at most one pending resume and its firing is observed
+// by its body.
+func (h *keyedHarness) wake(t Time) {
+	b, _ := h.next()
+	if len(h.procs) == 0 {
+		return
+	}
+	p := h.procs[int(b)%len(h.procs)]
+	if !p.Blocked() || p.resumePending {
+		return
+	}
+	p.WakeAt(t)
+	h.expect[p] = h.resumeKey(p)
+	h.expectAt(t, h.expect[p])
+}
+
+// spawn starts a process, tagged or (every fourth) untagged.
+func (h *keyedHarness) spawn() {
+	if len(h.procs) >= fuzzMaxProcs {
+		return
+	}
+	var p *Proc
+	if len(h.procs)%4 == 3 {
+		p = h.k.Spawn("fuzz", h.body)
+	} else {
+		p = h.k.SpawnTagged("fuzz", len(h.procs), h.body)
+	}
+	h.procs = append(h.procs, p)
+	h.expect[p] = h.resumeKey(p)
+	h.expectAt(h.k.now, h.expect[p])
+}
+
+func (h *keyedHarness) body(p *Proc) {
+	h.fired(h.expect[p])
+	for {
+		b, ok := h.next()
+		if !ok {
+			return
+		}
+		switch b % 6 {
+		case 0:
+			d := h.at().Sub(h.k.now) + Nanosecond
+			key := packKey(-1, h.k.seq+1)
+			if p.tag >= 0 {
+				key = packKey(p.tag, p.stampCtr+1)
+			}
+			h.expect[p] = key
+			h.expectAt(h.k.now.Add(d), key)
+			p.Sleep(d)
+			h.fired(h.expect[p])
+		case 1:
+			p.Block("fuzz")
+			h.fired(h.expect[p])
+		case 2:
+			h.schedAt(h.at())
+		case 3:
+			if p.tag < 0 {
+				h.schedTagged(h.at())
+				continue
+			}
+			t := h.at()
+			stamp := p.NextStamp()
+			e := &fuzzEvent{h: h, key: packKey(p.tag, stamp)}
+			h.k.AtTagged(t, p.tag, stamp, e)
+			h.expectAt(t, e.key)
+		case 4:
+			h.wake(h.at())
+		case 5:
+			return
+		}
+	}
+}
+
+// checkPeek compares PeekTime or PeekKey with the reference minimum.
+func (h *keyedHarness) checkPeek(withKey bool) {
+	var t Time
+	var key uint64
+	var ok bool
+	if withKey {
+		t, key, ok = h.k.PeekKey()
+	} else {
+		t, ok = h.k.PeekTime()
+	}
+	switch {
+	case ok != (len(h.ref) > 0):
+		h.failf("peek found pending=%v, reference holds %d events", ok, len(h.ref))
+	case !ok:
+	case t != h.ref.min().t || (withKey && key != h.ref.min().key):
+		h.failf("peek (%v, %#x), reference minimum (%v, %#x)", t, key, h.ref.min().t, h.ref.min().key)
+	}
+}
+
+func checkKeyedOrder(data []byte) error {
+	k := NewKernel()
+	k.Keyed()
+	h := &keyedHarness{k: k, data: data, used: map[uint64]bool{}, expect: map[*Proc]uint64{}}
+	defer k.Release()
+	for {
+		b, ok := h.next()
+		if !ok {
+			break
+		}
+		switch b % 9 {
+		case 0:
+			h.schedAt(h.at())
+		case 1:
+			h.schedTagged(h.at())
+		case 2:
+			h.checkPeek(false)
+		case 3:
+			h.checkPeek(true)
+		case 4:
+			if err := k.RunWindow(h.at().Add(Nanosecond)); err != nil {
+				return err
+			}
+			if len(h.ref) > 0 && h.ref.min().t < k.winLimit {
+				h.failf("window stopped at limit %v with (%v, %#x) pending", k.winLimit, h.ref.min().t, h.ref.min().key)
+			}
+		case 5:
+			stepped, err := k.StepOne()
+			if err != nil {
+				return err
+			}
+			if !stepped && len(h.ref) > 0 {
+				h.failf("StepOne fired nothing with %d events pending", len(h.ref))
+			}
+		case 6:
+			h.wake(h.at())
+		case 7:
+			h.spawn()
+		case 8:
+			// Open the earliest bucket, then schedule below it.
+			h.checkPeek(true)
+			if t, ok := k.PeekTime(); ok && t > k.now {
+				h.schedAt(k.now.Add(t.Sub(k.now) / 2))
+			}
+		}
+		if h.err != nil {
+			return h.err
+		}
+	}
+	for h.err == nil {
+		stepped, err := k.StepOne()
+		if err != nil {
+			return err
+		}
+		if !stepped {
+			break
+		}
+	}
+	if h.err == nil && len(h.ref) > 0 {
+		h.failf("kernel drained with %d events pending in the reference", len(h.ref))
+	}
+	return h.err
+}
+
+// TestKeyedQueueStorageBounded pins that a keyed lockstep run reuses
+// its queue storage: N processes sleeping in step share every
+// timestamp, and a run of 10x the rounds must allocate about what the
+// short run does, not queue storage per event fired.
+func TestKeyedQueueStorageBounded(t *testing.T) {
+	const procs = 512
+	run := func(rounds int) uint64 {
+		k := NewKernel()
+		k.Keyed()
+		for i := 0; i < procs; i++ {
+			k.SpawnTagged("lockstep", i, func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Sleep(Nanosecond)
+				}
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const short, long = 20, 200
+	run(short) // warm the runtime's coroutine caches
+	a, b := run(short), run(long)
+	extraEvents := uint64(procs * (long - short))
+	// One event of queue storage is 24 B; allow well under one byte
+	// per extra event fired.
+	if b > a+extraEvents/4 {
+		t.Errorf("%d rounds allocated %d B, %d rounds %d B: queue storage grows with events fired (%d extra)",
+			short, a, long, b, extraEvents)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
+	"strconv"
 )
 
 // Proc is a logical process: a coroutine whose execution is
@@ -16,7 +17,7 @@ import (
 // goroutines (as the sharded kernels' windows do).
 type Proc struct {
 	k    *Kernel
-	name string
+	name string // the whole name, or its prefix when numbered
 
 	// body is the process function until its first resume creates the
 	// coroutine (start). Creating it there rather than at spawn means a
@@ -37,6 +38,7 @@ type Proc struct {
 
 	done          bool
 	resumePending bool   // a resume event is scheduled and undelivered
+	numbered      bool   // the name is name followed by the tag (SpawnNumbered)
 	blocked       string // non-empty while waiting on a condition (diagnostics)
 	blockedDetail string // optional reason suffix (BlockWith)
 	blockedSince  Time   // when the current Block began (diagnostics)
@@ -92,6 +94,17 @@ func (k *Kernel) SpawnTagged(name string, tag int, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// SpawnNumbered is SpawnTagged for a process named prefix followed by
+// its tag in decimal, such as "rank 12". The name is rendered only when
+// something asks for it (Name, a deadlock or panic report), so a model
+// that spawns one process per rank builds no string per rank. The
+// name follows the tag if SetTag changes it.
+func (k *Kernel) SpawnNumbered(prefix string, tag int, fn func(p *Proc)) *Proc {
+	p := k.SpawnTagged(prefix, tag, fn)
+	p.numbered = true
+	return p
+}
+
 // released is the panic that unwinds a process stopped by
 // Kernel.Release. The spawn wrapper swallows it: a released process
 // neither aborts the kernel nor counts as finished.
@@ -111,7 +124,7 @@ func (p *Proc) finish(r any) {
 		if fp, ok := r.(failPanic); ok {
 			p.k.Abort(fp.err)
 		} else {
-			p.k.Abort(&PanicError{Proc: p.name, Value: r, Stack: debug.Stack()})
+			p.k.Abort(&PanicError{Proc: p.Name(), Value: r, Stack: debug.Stack()})
 		}
 	}
 	p.done = true
@@ -121,8 +134,14 @@ func (p *Proc) finish(r any) {
 // Kernel returns the kernel this process runs under.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at Spawn (for SpawnNumbered, the
+// prefix followed by the tag).
+func (p *Proc) Name() string {
+	if p.numbered {
+		return p.name + strconv.Itoa(p.tag)
+	}
+	return p.name
+}
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -213,5 +232,5 @@ func (p *Proc) blockedInfo() BlockedProc {
 	if r == "" {
 		r = "runnable?"
 	}
-	return BlockedProc{Name: p.name, Reason: r, Since: p.blockedSince}
+	return BlockedProc{Name: p.Name(), Reason: r, Since: p.blockedSince}
 }

@@ -57,6 +57,14 @@ check:
 	@cmp /tmp/bgpsim-check-s1.txt /tmp/bgpsim-check-s4.txt || \
 		{ echo "check: paper -exp profile differs between -shards 1 and -shards 4"; exit 1; }
 	@rm -f /tmp/bgpsim-check-s1.txt /tmp/bgpsim-check-s4.txt
+	@# Single-run smoke: a single halo exchange runs as a session
+	@# (Begin, then Finish) on the shard kernels and must print the same
+	@# report and profile at any shard count N >= 1.
+	$(GO) run ./cmd/halo -analytic -words 1000 -profile -shards 1 > /tmp/bgpsim-check-h1.txt
+	$(GO) run ./cmd/halo -analytic -words 1000 -profile -shards 4 > /tmp/bgpsim-check-h4.txt
+	@cmp /tmp/bgpsim-check-h1.txt /tmp/bgpsim-check-h4.txt || \
+		{ echo "check: halo -profile differs between -shards 1 and -shards 4"; exit 1; }
+	@rm -f /tmp/bgpsim-check-h1.txt /tmp/bgpsim-check-h4.txt
 	@# Facility smoke: the multi-job facility loop (many concurrent
 	@# partition-scoped simulations + a rack blast across jobs) must
 	@# print byte-identical output at any worker and shard count.

@@ -34,7 +34,7 @@ func main() {
 	double := flag.Bool("double", true, "double precision operands (allreduce)")
 	mapping := flag.String("mapping", "XYZT", "process mapping (XYZT, TXYZ, ...)")
 	fidelity := flag.String("fidelity", "contention", "network model: contention, analytic, or packet")
-	shards := flag.Int("shards", 0, "partition the ranks across N parallel kernel shards (analytic fidelity only; output is byte-identical at any N)")
+	shards := flag.Int("shards", 0, "partition the ranks across N parallel kernel shards (analytic fidelity only; output is byte-identical at any N ≥ 1)")
 	faultsFlag := flag.String("faults", "", "inject a deterministic fault plan, e.g. 'seed=3,recover,kill=5@40us' or 'blast=50us/7/1/0/0/1' (see internal/fault.ParseSpec)")
 	varFlag := flag.String("var", "", "inject seeded per-node performance variability, e.g. 'clock:2%,link:5%@7' (see internal/fault.ParseVariabilitySpec)")
 	events := flag.Int("events", 0, "dump the first N trace events")

@@ -40,7 +40,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "sweep halo sizes")
 	mappings := flag.Bool("mappings", false, "compare all predefined mappings")
 	analytic := flag.Bool("analytic", false, "use the analytic network model instead of link contention (required for -shards)")
-	shards := flag.Int("shards", 0, "partition the ranks across N parallel kernel shards (needs -analytic; output is byte-identical at any N)")
+	shards := flag.Int("shards", 0, "partition the ranks across N parallel kernel shards (needs -analytic; output is byte-identical at any N ≥ 1)")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline to FILE (single-run mode)")
 	profile := flag.Bool("profile", false, "print per-rank time decomposition and critical path (single-run mode)")
 	linksFile := flag.String("links", "", "write per-link utilization CSV to FILE (single-run mode)")

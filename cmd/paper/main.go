@@ -56,7 +56,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	verify := flag.Bool("verify", false, "check the paper's claims against the simulation and exit")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "concurrent simulations per sweep (results are identical at any -j)")
-	shards := flag.Int("shards", 0, "run shard-eligible workloads on N parallel kernel shards (output is byte-identical at any N)")
+	shards := flag.Int("shards", 0, "run shard-eligible workloads on N parallel kernel shards (output is byte-identical at any N ≥ 1)")
 	flag.Parse()
 	runner.SetWorkers(*jobs)
 	if *shards < 0 {

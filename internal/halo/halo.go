@@ -104,34 +104,26 @@ func Run(o Options) (sim.Duration, error) {
 
 // RunResult is Run returning the full simulation result as well, for
 // callers that inspect traffic counters, dropped trace events, or the
-// attached observability probe.
+// attached observability probe: Start followed by Finish.
 func RunResult(o Options) (sim.Duration, *mpi.Result, error) {
-	cfg, program, total, err := build(o)
+	s, err := Start(o)
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err := mpi.Execute(cfg, program)
-	if err != nil {
-		return 0, nil, err
-	}
-	return *total, res, nil
+	return s.Finish()
 }
 
-// Session is a HALO run in stepwise execution (see mpi.Running): the
-// exchange can be advanced to chosen points in virtual time, paused,
-// and finished, producing byte-for-byte the result a straight
-// RunResult call returns. Sessions always run on the serial kernel —
-// Options.Shards is ignored (the sharded coordinator cannot pause at
-// an arbitrary time); output is identical either way by the sharded
-// kernel's determinism contract.
+// Session is a HALO run in stepwise execution: the embedded
+// mpi.Running advances the exchange to chosen points in virtual time,
+// and Finish completes it, producing byte-for-byte the result a
+// straight RunResult call returns.
 type Session struct {
-	run   *mpi.Running
+	*mpi.Running
 	total *sim.Duration
 }
 
 // Start begins a stepwise HALO run without firing any event.
 func Start(o Options) (*Session, error) {
-	o.Shards = 0
 	cfg, program, total, err := build(o)
 	if err != nil {
 		return nil, err
@@ -140,26 +132,13 @@ func Start(o Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{run: run, total: total}, nil
+	return &Session{Running: run, total: total}, nil
 }
 
-// StepTo fires every pending event with a timestamp strictly below t,
-// then pauses (see mpi.Running.StepTo).
-func (s *Session) StepTo(t sim.Time) error { return s.run.StepTo(t) }
-
-// Now returns the paused run's current virtual time.
-func (s *Session) Now() sim.Time { return s.run.Now() }
-
-// Events returns the number of simulation events fired so far.
-func (s *Session) Events() uint64 { return s.run.Events() }
-
-// Done reports whether the run has completed.
-func (s *Session) Done() bool { return s.run.Done() }
-
 // Finish runs the exchange to completion and returns the mean time per
-// exchange plus the full result, exactly as RunResult would have.
+// exchange plus the full result.
 func (s *Session) Finish() (sim.Duration, *mpi.Result, error) {
-	res, err := s.run.Finish()
+	res, err := s.Running.Finish()
 	if err != nil {
 		return 0, nil, err
 	}

@@ -2,7 +2,6 @@ package jobspec
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -65,21 +64,30 @@ func (r *RunResult) Artifact(name string) []byte {
 // serial-fallback notes) to stderr, byte-identical to what the owning
 // CLI has always printed; artifacts are collected in memory.
 //
-// On error the returned RunResult is still non-nil when artifacts
-// were recorded before the abort (the truncated-trace contract); it is
-// nil only when the job never started.
+// On error the returned RunResult is nil only when the spec is
+// invalid. When an injected node kill aborts a single simulation
+// (*mpi.RankFailure), it carries the artifacts recorded up to the
+// abort, truncated but loadable (the truncated-trace contract).
 func Run(spec Spec, stdout, stderr io.Writer) (*RunResult, error) {
 	c := spec.Canonical()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	if CanSession(c) {
+		// A single-simulation job runs as a session finished without a
+		// pause: the one path that snapshots resume on too.
+		sess := &Session{spec: c}
+		if err := sess.start(); err != nil {
+			stderr.Write(sess.blasts.Bytes())
+			return &RunResult{Spec: c, Hash: c.Hash()}, err
+		}
+		return sess.Finish(stdout, stderr)
+	}
 	rr := &RunResult{Spec: c, Hash: c.Hash()}
 	var err error
 	switch c.Kind {
-	case KindBench:
-		err = runBench(c, rr, stdout, stderr)
 	case KindHalo:
-		err = runHalo(c, rr, stdout, stderr)
+		err = runHalo(c, stdout, stderr)
 	case KindHPCC:
 		err = runHPCC(c, rr, stdout, stderr)
 	case KindFacility:
@@ -89,17 +97,12 @@ func Run(spec Spec, stdout, stderr io.Writer) (*RunResult, error) {
 	default:
 		return nil, fmt.Errorf("jobspec: unknown kind %q", c.Kind)
 	}
-	sort.Slice(rr.Artifacts, func(i, j int) bool { return rr.Artifacts[i].Name < rr.Artifacts[j].Name })
-	if err != nil {
-		return rr, err
-	}
-	return rr, nil
+	return rr, err
 }
 
 // collect renders the recorder's streaming exporters into the result's
 // artifact list, sorted by name (trace and links, as the spec
-// requested). Both Run and Session.Finish deliver artifacts through
-// here, so their result ordering is identical by construction.
+// requested). Every kind delivers its artifacts through here.
 func collect(c Spec, rr *RunResult, rec *obs.Recorder) error {
 	if rec == nil {
 		return nil
@@ -133,72 +136,14 @@ func writeProfile(res *mpi.Result, stdout io.Writer) error {
 	return res.CriticalPath().WriteSummary(stdout)
 }
 
-// runBench executes a bench-kind spec (cmd/bgpsim's single
-// micro-benchmark) and prints its report.
-func runBench(c Spec, rr *RunResult, stdout, stderr io.Writer) error {
-	cfg, blasts, err := c.BenchConfig()
-	if err != nil {
-		return err
-	}
-	prog := progname(c.Kind)
-	for _, b := range blasts {
-		fmt.Fprintf(stderr, "%s: blast from node %d: %s domain [%d, %d], %d nodes killed\n",
-			prog, b.Origin, b.Level, b.First, b.Last, len(b.Dead))
-	}
-	var tb *trace.Buffer
-	if c.Events > 0 {
-		tb = trace.NewBuffer(c.Events)
-		cfg.Trace = tb
-	}
-	var rec *obs.Recorder
-	if c.Trace || c.Profile || c.Links {
-		rec = obs.NewRecorder()
-		cfg.Probe = rec
-	}
-	program := benchProgram(c, cfg)
-
-	var res *mpi.Result
-	if c.Shards > 0 {
-		// An explicit shard request takes the sharded coordinator
-		// (byte-identical output, parallel kernel); everything else
-		// runs stepwise-capable serial — the same path snapshots use,
-		// so cached results and snapshot resumes agree by construction.
-		res, err = mpi.Execute(cfg, program)
-	} else {
-		var run *mpi.Running
-		run, err = mpi.Begin(cfg, program)
-		if err == nil {
-			res, err = run.Finish()
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if c.Shards > 1 && res.Shards < c.Shards {
-		// The fallback is silent on stdout (results are identical
-		// either way) but worth a note: the user asked for parallelism
-		// the configuration cannot provide.
-		fmt.Fprintf(stderr, "%s: note: ran on the serial kernel (-shards %d needs -fidelity analytic and no link faults)\n", prog, c.Shards)
-	}
-	if err := renderBench(c, cfg, res, tb, stdout, stderr); err != nil {
-		return err
-	}
-	if rec != nil {
-		if c.Profile {
-			if err := writeProfile(res, stdout); err != nil {
-				return err
-			}
-		}
-		if err := collect(c, rr, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // renderBench prints the bench report exactly as cmd/bgpsim always
 // has.
 func renderBench(c Spec, cfg mpi.Config, res *mpi.Result, tb *trace.Buffer, stdout, stderr io.Writer) error {
+	if c.Shards > 1 && res.Shards < c.Shards {
+		// The fallback is silent on stdout but worth a note: the user
+		// asked for parallelism the configuration cannot provide.
+		fmt.Fprintf(stderr, "%s: note: ran on the serial kernel (-shards %d needs -fidelity analytic and no link faults)\n", progname(c.Kind), c.Shards)
+	}
 	mode, _ := parseMode(c.Mode)
 	bytes := 8
 	if c.Bytes != nil {
@@ -428,9 +373,10 @@ func runFacility(c Spec, rr *RunResult, stdout io.Writer) error {
 // haloSweepSizes is the halo size sweep (cmd/halo -sweep).
 var haloSweepSizes = []int{2, 8, 32, 128, 512, 2048, 8192, 32768, 131072}
 
-// runHalo executes a halo-kind spec in whichever of its three modes
-// the spec selects.
-func runHalo(c Spec, rr *RunResult, stdout, stderr io.Writer) error {
+// runHalo executes a halo-kind spec in its sweep or mapping-comparison
+// mode: independent runs on the runner pool, reported in list order.
+// The single-exchange mode runs as a session (Run).
+func runHalo(c Spec, stdout, stderr io.Writer) error {
 	base, blasts, err := c.HaloOptions()
 	if err != nil {
 		return err
@@ -451,12 +397,6 @@ func runHalo(c Spec, rr *RunResult, stdout, stderr io.Writer) error {
 			panic(err) // unreachable: the spec validated above
 		}
 		o.Faults = fresh.Faults
-	}
-
-	var rec *obs.Recorder
-	if c.Trace || c.Profile || c.Links {
-		rec = obs.NewRecorder()
-		base.Probe = rec
 	}
 	warn := func(notes *runner.Notes, i int, res *mpi.Result) {
 		if res == nil {
@@ -510,48 +450,8 @@ func runHalo(c Spec, rr *RunResult, stdout, stderr io.Writer) error {
 		for i, w := range haloSweepSizes {
 			fmt.Fprintf(stdout, "  %8d words %12.2f us\n", w, ds[i].Microseconds())
 		}
-	default:
-		d, res, err := runHaloSingle(c, base)
-		if err != nil {
-			var rf *mpi.RankFailure
-			if errors.As(err, &rf) && rec != nil {
-				// An injected kill aborts the run, but the recorder
-				// keeps everything observed up to the abort: deliver
-				// the truncated artifacts alongside the error.
-				if cerr := collect(c, rr, rec); cerr != nil {
-					return cerr
-				}
-			}
-			return err
-		}
-		if err := renderHaloSingle(c, base, d, res, stdout, stderr); err != nil {
-			return err
-		}
-		if rec != nil {
-			if c.Profile {
-				if err := writeProfile(res, stdout); err != nil {
-					return err
-				}
-			}
-			if err := collect(c, rr, rec); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// runHaloSingle runs one halo exchange — stepwise serial when no
-// shards are requested (the snapshot-capable path), sharded otherwise.
-func runHaloSingle(c Spec, o halo.Options) (sim.Duration, *mpi.Result, error) {
-	if c.Shards > 0 {
-		return halo.RunResult(o)
-	}
-	sess, err := halo.Start(o)
-	if err != nil {
-		return 0, nil, err
-	}
-	return sess.Finish()
 }
 
 // renderHaloSingle prints the single-exchange report exactly as

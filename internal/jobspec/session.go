@@ -2,9 +2,11 @@ package jobspec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
+	"bgpsim/internal/fault"
 	"bgpsim/internal/halo"
 	"bgpsim/internal/mpi"
 	"bgpsim/internal/obs"
@@ -16,38 +18,35 @@ import (
 // event, advanced to chosen points in virtual time, and finished into
 // exactly the output a straight Run of the same spec produces — stdout
 // bytes, stderr bytes, and artifacts all byte-identical. That
-// equivalence holds by construction, not by luck: a session wraps the
-// same serial kernel the straight path uses and StepTo only chooses
-// where the event loop pauses, never what it fires. Sessions are the
-// bgpsimd server's snapshot substrate (park a long run at virtual time
-// T, inspect it, resume it, or fork a variant by deterministic
-// replay).
+// equivalence holds by construction: Run executes these kinds as a
+// session finished without a pause, and StepTo only chooses where the
+// event loop pauses, never what it fires. Sessions are the bgpsimd
+// server's snapshot substrate (park a long run at virtual time T,
+// inspect it, resume it, or fork a variant by deterministic replay).
 //
 // Only the kinds whose run is a single simulation support sessions:
 // bench, and halo in single-exchange mode. Sweeps and multi-job
 // workloads are collections of independent runs; snapshot those by
-// snapshotting their parts. Sessions always execute serially — the
-// spec's Shards request is ignored (output is byte-identical either
-// way; the straight Run path honors it).
+// snapshotting their parts.
 //
 // A Session is not safe for concurrent use; callers serialize StepTo
 // and Finish (the server holds one lock per snapshot).
 type Session struct {
 	spec Spec // canonical
 
+	run *mpi.Running
+
 	// bench state
-	benchRun *mpi.Running
 	benchCfg mpi.Config
 	tb       *trace.Buffer
 
 	// halo state
-	haloSess *halo.Session
+	halo     *halo.Session
 	haloOpts halo.Options
 
 	rec *obs.Recorder
-	// blasts holds the stderr blast-domain lines Run prints before the
-	// simulation starts; Finish replays them so the stderr stream stays
-	// byte-identical.
+	// blasts holds the stderr blast-domain lines printed before the
+	// simulation's report; Finish writes them first.
 	blasts bytes.Buffer
 
 	finished bool
@@ -79,52 +78,57 @@ func StartSession(spec Spec) (*Session, error) {
 		return nil, fmt.Errorf("jobspec: kind %q does not support stepwise sessions (single-simulation jobs only)", c.Kind)
 	}
 	sess := &Session{spec: c}
-	switch c.Kind {
-	case KindBench:
-		cfg, blasts, err := c.BenchConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Shards = 0
-		for _, b := range blasts {
-			fmt.Fprintf(&sess.blasts, "%s: blast from node %d: %s domain [%d, %d], %d nodes killed\n",
-				progname(c.Kind), b.Origin, b.Level, b.First, b.Last, len(b.Dead))
-		}
-		if c.Events > 0 {
-			sess.tb = trace.NewBuffer(c.Events)
-			cfg.Trace = sess.tb
-		}
-		if c.Trace || c.Profile || c.Links {
-			sess.rec = obs.NewRecorder()
-			cfg.Probe = sess.rec
-		}
-		sess.benchCfg = cfg
-		run, err := mpi.Begin(cfg, benchProgram(c, cfg))
-		if err != nil {
-			return nil, err
-		}
-		sess.benchRun = run
-	case KindHalo:
-		o, blasts, err := c.HaloOptions()
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range blasts {
-			fmt.Fprintf(&sess.blasts, "halo: blast from node %d: %s domain [%d, %d], %d nodes killed\n",
-				b.Origin, b.Level, b.First, b.Last, len(b.Dead))
-		}
-		if c.Trace || c.Profile || c.Links {
-			sess.rec = obs.NewRecorder()
-			o.Probe = sess.rec
-		}
-		sess.haloOpts = o
-		hs, err := halo.Start(o)
-		if err != nil {
-			return nil, err
-		}
-		sess.haloSess = hs
+	if err := sess.start(); err != nil {
+		return nil, err
 	}
 	return sess, nil
+}
+
+// start builds the canonical spec's simulation and begins it. On error
+// the blast lines recorded so far stay in s.blasts.
+func (s *Session) start() error {
+	c := s.spec
+	if c.Trace || c.Profile || c.Links {
+		s.rec = obs.NewRecorder()
+	}
+	var blasts []fault.BlastResult
+	var err error
+	switch c.Kind {
+	case KindBench:
+		var cfg mpi.Config
+		if cfg, blasts, err = c.BenchConfig(); err != nil {
+			return err
+		}
+		if c.Events > 0 {
+			s.tb = trace.NewBuffer(c.Events)
+			cfg.Trace = s.tb
+		}
+		cfg.Probe = probeOrNil(s.rec)
+		s.benchCfg = cfg
+		s.writeBlasts(blasts)
+		s.run, err = mpi.Begin(cfg, benchProgram(c, cfg))
+	case KindHalo:
+		var o halo.Options
+		if o, blasts, err = c.HaloOptions(); err != nil {
+			return err
+		}
+		o.Probe = probeOrNil(s.rec)
+		s.haloOpts = o
+		s.writeBlasts(blasts)
+		if s.halo, err = halo.Start(o); err == nil {
+			s.run = s.halo.Running
+		}
+	}
+	return err
+}
+
+// writeBlasts records the stderr lines reporting the fault plan's
+// blast domains.
+func (s *Session) writeBlasts(blasts []fault.BlastResult) {
+	for _, b := range blasts {
+		fmt.Fprintf(&s.blasts, "%s: blast from node %d: %s domain [%d, %d], %d nodes killed\n",
+			progname(s.spec.Kind), b.Origin, b.Level, b.First, b.Last, len(b.Dead))
+	}
 }
 
 // Spec returns the session's canonical spec.
@@ -140,110 +144,73 @@ func (s *Session) StepTo(t sim.Time) error {
 	if s.finished {
 		return s.err
 	}
-	if s.benchRun != nil {
-		return s.benchRun.StepTo(t)
-	}
-	return s.haloSess.StepTo(t)
+	return s.run.StepTo(t)
 }
 
 // Now returns the paused run's current virtual time.
-func (s *Session) Now() sim.Time {
-	if s.benchRun != nil {
-		return s.benchRun.Now()
-	}
-	return s.haloSess.Now()
-}
+func (s *Session) Now() sim.Time { return s.run.Now() }
 
 // Events returns the number of simulation events fired so far.
-func (s *Session) Events() uint64 {
-	if s.benchRun != nil {
-		return s.benchRun.Events()
-	}
-	return s.haloSess.Events()
-}
+func (s *Session) Events() uint64 { return s.run.Events() }
 
 // Done reports whether the underlying simulation has completed (the
 // session may still await Finish for rendering).
-func (s *Session) Done() bool {
-	if s.finished {
-		return true
-	}
-	if s.benchRun != nil {
-		return s.benchRun.Done()
-	}
-	return s.haloSess.Done()
-}
+func (s *Session) Done() bool { return s.finished || s.run.Done() }
 
 // Finish runs the simulation to completion and renders the job's
 // report and artifacts — stdout, stderr, and artifact bytes all
 // identical to Run(spec) however many StepTo pauses preceded it.
 // Finish is idempotent; repeated calls replay the stored outcome
-// without re-rendering to the writers.
+// without re-rendering to the writers. On error the result still
+// carries the artifacts recorded up to an injected kill's abort (see
+// Run).
 func (s *Session) Finish(stdout, stderr io.Writer) (*RunResult, error) {
 	if s.finished {
 		return s.result, s.err
 	}
 	s.finished = true
-	io.Copy(stderr, bytes.NewReader(s.blasts.Bytes()))
-	rr := &RunResult{Spec: s.spec, Hash: s.spec.Hash()}
+	stderr.Write(s.blasts.Bytes())
+	s.result = &RunResult{Spec: s.spec, Hash: s.spec.Hash()}
+	s.err = s.finish(stdout, stderr)
+	return s.result, s.err
+}
+
+// finish completes the simulation and renders its report, profile and
+// artifacts.
+func (s *Session) finish(stdout, stderr io.Writer) error {
 	c := s.spec
-	if s.benchRun != nil {
-		res, err := s.benchRun.Finish()
-		if err != nil {
-			s.result, s.err = rr, err
-			return rr, err
-		}
-		if c.Shards > 1 && res.Shards < c.Shards {
-			fmt.Fprintf(stderr, "%s: note: ran on the serial kernel (-shards %d needs -fidelity analytic and no link faults)\n", progname(c.Kind), c.Shards)
-		}
-		if err := renderBench(c, s.benchCfg, res, s.tb, stdout, stderr); err != nil {
-			s.result, s.err = rr, err
-			return rr, err
-		}
-		if s.rec != nil {
-			if c.Profile {
-				if err := writeProfile(res, stdout); err != nil {
-					s.result, s.err = rr, err
-					return rr, err
-				}
-			}
-			if err := collect(c, rr, s.rec); err != nil {
-				s.result, s.err = rr, err
-				return rr, err
-			}
-		}
-		s.result = rr
-		return rr, nil
+	var d sim.Duration
+	var res *mpi.Result
+	var err error
+	if s.halo != nil {
+		d, res, err = s.halo.Finish()
+	} else {
+		res, err = s.run.Finish()
 	}
-	d, res, err := s.haloSess.Finish()
 	if err != nil {
-		// Mirror runHalo's abort contract: deliver the artifacts
-		// recorded up to the abort alongside the error.
-		if s.rec != nil {
-			if cerr := collect(c, rr, s.rec); cerr != nil {
-				s.result, s.err = rr, cerr
-				return rr, cerr
+		var rf *mpi.RankFailure
+		if errors.As(err, &rf) {
+			// An injected kill aborts the run, but the recorder keeps
+			// everything observed up to the abort: deliver the
+			// truncated artifacts alongside the error.
+			if cerr := collect(c, s.result, s.rec); cerr != nil {
+				return cerr
 			}
 		}
-		s.result, s.err = rr, err
-		return rr, err
+		return err
 	}
-	if err := renderHaloSingle(c, s.haloOpts, d, res, stdout, stderr); err != nil {
-		s.result, s.err = rr, err
-		return rr, err
+	if s.halo != nil {
+		err = renderHaloSingle(c, s.haloOpts, d, res, stdout, stderr)
+	} else {
+		err = renderBench(c, s.benchCfg, res, s.tb, stdout, stderr)
 	}
-	if s.rec != nil {
-		if c.Profile {
-			if err := writeProfile(res, stdout); err != nil {
-				s.result, s.err = rr, err
-				return rr, err
-			}
-		}
-		if err := collect(c, rr, s.rec); err != nil {
-			s.result, s.err = rr, err
-			return rr, err
+	if err != nil {
+		return err
+	}
+	if c.Profile {
+		if err := writeProfile(res, stdout); err != nil {
+			return err
 		}
 	}
-	s.result = rr
-	return rr, nil
+	return collect(c, s.result, s.rec)
 }

@@ -10,11 +10,13 @@
 // The contract that makes the hash load-bearing: the simulator is
 // deterministic — a Spec's output (stdout bytes, artifact bytes) is a
 // pure function of its canonical form, at any worker count and any
-// shard count. Canonical() materializes defaults and drops fields
-// foreign to the job's kind, so two specs that mean the same job hash
-// identically; Hash() additionally zeroes Shards, because the sharded
-// kernel is byte-identical to the serial one (the PR-6 determinism
-// contract) and a cache hit across shard counts is therefore sound.
+// shard count N >= 1. Canonical() materializes defaults and drops
+// fields foreign to the job's kind, so two specs that mean the same
+// job hash identically; Hash() additionally zeroes Shards, an
+// execution knob: the serial kernel (shards 0) breaks same-timestamp
+// ties by another rule and can print other bytes, so the bgpsimd
+// server runs every job at shards 0 (identity form) and a cache hit
+// across shard requests is therefore sound.
 package jobspec
 
 import (
@@ -127,8 +129,9 @@ type Spec struct {
 	// an analytic job from sharding.
 	Var string `json:"var,omitempty"`
 	// Shards partitions each simulation across N parallel kernel
-	// shards. Output bytes are identical at any value (the PR-6
-	// determinism contract), so Hash() ignores it.
+	// shards. Output bytes are identical at any value N >= 1; zero runs
+	// the serial kernel, whose output can differ. Hash() ignores it
+	// (an execution knob; see the package comment).
 	Shards int `json:"shards,omitempty"`
 
 	// Events dumps the first N trace events to stdout (bench jobs).
@@ -242,10 +245,10 @@ func (s Spec) CanonicalJSON() []byte {
 }
 
 // Hash returns the job's content hash: the hex SHA-256 of the
-// canonical JSON with Shards zeroed. Shards is excluded because output
-// bytes are shard-count-invariant, so a result computed at any shard
-// count answers the same job at every other — the determinism-for-
-// reuse leverage the result cache is built on.
+// canonical JSON with Shards zeroed. Shards is excluded because it is
+// an execution knob, not part of the job: the server runs every job
+// at one fixed count (identity form), so the result cached under a
+// hash never depends on the shard count a client asked for.
 func (s Spec) Hash() string {
 	c := s.Canonical()
 	c.Shards = 0

@@ -2,8 +2,13 @@ package jobspec
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"bgpsim/internal/mpi"
 	"bgpsim/internal/sim"
 )
 
@@ -151,8 +156,9 @@ func TestRunDeterminism(t *testing.T) {
 
 // sessionEquivalence runs a spec straight and as a paused-and-resumed
 // session, asserting byte-identical stdout, stderr, and artifacts —
-// the snapshot/restore ≡ straight-run guarantee.
-func sessionEquivalence(t *testing.T, spec Spec, pauses []sim.Time) {
+// the snapshot/restore ≡ straight-run guarantee. It returns the
+// session's Now and Events after each pause.
+func sessionEquivalence(t *testing.T, spec Spec, pauses []sim.Time) []string {
 	t.Helper()
 	var wantOut, wantErr bytes.Buffer
 	want, err := Run(spec, &wantOut, &wantErr)
@@ -168,10 +174,12 @@ func sessionEquivalence(t *testing.T, spec Spec, pauses []sim.Time) {
 		t.Errorf("session hash %s, want %s", sess.Hash(), spec.Hash())
 	}
 	last := sim.Time(0)
+	var marks []string
 	for _, p := range pauses {
 		if err := sess.StepTo(p); err != nil {
 			t.Fatalf("StepTo(%v): %v", p, err)
 		}
+		marks = append(marks, fmt.Sprintf("StepTo(%v): now=%v events=%d", p, sess.Now(), sess.Events()))
 		if now := sess.Now(); now < last {
 			t.Errorf("Now went backwards: %v after %v", now, last)
 		} else {
@@ -201,7 +209,28 @@ func sessionEquivalence(t *testing.T, spec Spec, pauses []sim.Time) {
 			t.Errorf("artifact %s differs between session and straight run", w.Name)
 		}
 	}
+	return marks
 }
+
+// sessionAtShards runs sessionEquivalence at shards 1, 2 and 4:
+// sessions honour the spec's shard count, so a paused-and-resumed
+// session equals a straight Run at every count, and every pause lands
+// on the same Now and Events at each count.
+func sessionAtShards(t *testing.T, spec Spec, pauses []sim.Time) {
+	t.Helper()
+	var want []string
+	for _, shards := range []int{1, 2, 4} {
+		spec.Shards = shards
+		marks := sessionEquivalence(t, spec, pauses)
+		if want == nil {
+			want = marks
+		} else if !reflect.DeepEqual(marks, want) {
+			t.Errorf("shards=%d pauses:\n got %v\nwant %v (shards=1)", shards, marks, want)
+		}
+	}
+}
+
+func us(x float64) sim.Time { return sim.Time(sim.Microseconds(x)) }
 
 func TestSessionEquivalenceBench(t *testing.T) {
 	spec := Spec{Kind: KindBench, Ranks: 64, Bench: "allreduce",
@@ -213,6 +242,15 @@ func TestSessionEquivalenceBench(t *testing.T) {
 		// parks for Finish.
 		sim.Time(sim.Second),
 	})
+	// Sharded: no false serial-kernel note on stderr.
+	sessionAtShards(t, Spec{Kind: KindBench, Ranks: 64, Bench: "allreduce", Fidelity: "analytic"},
+		[]sim.Time{us(0.2), us(1), us(1.4)})
+	sessionAtShards(t, Spec{Kind: KindBench, Ranks: 64, Bench: "alltoall", Bytes: intp(1024),
+		Fidelity: "analytic", Events: 300, Trace: true, Links: true},
+		[]sim.Time{us(1), us(20), us(200)})
+	sessionAtShards(t, Spec{Kind: KindBench, Ranks: 64, Bench: "allreduce", Fidelity: "analytic",
+		Trace: true, Faults: "kill=3@0.5us,recover"},
+		[]sim.Time{us(0.2), us(0.5), us(1)})
 }
 
 func TestSessionEquivalenceHalo(t *testing.T) {
@@ -223,6 +261,53 @@ func TestSessionEquivalenceHalo(t *testing.T) {
 		50 * sim.Time(sim.Microsecond),
 		300 * sim.Time(sim.Microsecond),
 	})
+	// Sharded: the same profile as a straight Run.
+	sessionAtShards(t, Spec{Kind: KindHalo, GridX: 16, GridY: 8, Words: 1000, Fidelity: "analytic", Profile: true},
+		[]sim.Time{us(1), us(100), us(200)})
+}
+
+func intp(v int) *int { return &v }
+
+// TestAbortDeliversTruncatedTrace: a fail-stop node kill aborts a
+// single-exchange halo job with *mpi.RankFailure, and the job still
+// delivers the trace recorded up to the abort — through Run and
+// through a paused session alike, on the serial kernel and sharded.
+func TestAbortDeliversTruncatedTrace(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: KindHalo, GridX: 8, GridY: 4, Words: 512, Trace: true, Faults: "kill=2@50us"},
+		{Kind: KindHalo, GridX: 8, GridY: 4, Words: 512, Trace: true, Faults: "kill=2@50us",
+			Fidelity: "analytic", Shards: 2},
+	} {
+		var out, errw bytes.Buffer
+		want, err := Run(spec, &out, &errw)
+		var rf *mpi.RankFailure
+		if !errors.As(err, &rf) {
+			t.Fatalf("shards=%d: Run error %v, want *mpi.RankFailure", spec.Shards, err)
+		}
+		trace := want.Artifact(ArtifactTrace)
+		if len(trace) == 0 || !json.Valid(trace) {
+			t.Fatalf("shards=%d: Run delivered no loadable trace.json with the abort (%d bytes)", spec.Shards, len(trace))
+		}
+
+		sess, err := StartSession(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.StepTo(sim.Time(20 * sim.Microsecond)); err != nil {
+			t.Fatalf("shards=%d: StepTo before the kill: %v", spec.Shards, err)
+		}
+		var sout, serr bytes.Buffer
+		got, err := sess.Finish(&sout, &serr)
+		if !errors.As(err, &rf) {
+			t.Fatalf("shards=%d: session error %v, want *mpi.RankFailure", spec.Shards, err)
+		}
+		if !bytes.Equal(got.Artifact(ArtifactTrace), trace) {
+			t.Errorf("shards=%d: session trace.json differs from Run's", spec.Shards)
+		}
+		if sout.String() != out.String() || serr.String() != errw.String() {
+			t.Errorf("shards=%d: session output differs from Run's", spec.Shards)
+		}
+	}
 }
 
 // TestSessionRejectsMultiRunKinds: only single-simulation jobs can be

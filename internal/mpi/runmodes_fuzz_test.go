@@ -9,6 +9,7 @@ import (
 	"bgpsim/internal/machine"
 	"bgpsim/internal/network"
 	"bgpsim/internal/obs"
+	"bgpsim/internal/sim"
 	"bgpsim/internal/trace"
 )
 
@@ -76,8 +77,11 @@ var fuzzSizes = []int{0, 8, 1024, 1201, 8192, 65536}
 
 // decodeProgram turns a fuzz input into a node count (BG/P SMP, one
 // rank per node), collective overrides forcing software algorithms,
-// and a phase list.
-func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp) {
+// a phase list, and 1-3 pause points, each in 128ths of the run's
+// elapsed time (1-255, so some pauses fall past the end). The pauses
+// are read after the program, so an input decodes to the same program
+// whatever follows it.
+func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp, pauses []int) {
 	f := &fuzzReader{b: data}
 	nodes = []int{4, 8, 16}[f.pick(3)]
 	ranks := nodes
@@ -126,7 +130,10 @@ func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp
 		}
 		ops = append(ops, o)
 	}
-	return nodes, coll, ops
+	for i := 1 + f.pick(3); i > 0; i-- {
+		pauses = append(pauses, 1+f.pick(255))
+	}
+	return nodes, coll, ops, pauses
 }
 
 // fuzzProgram returns the rank body of a decoded program. Payload
@@ -225,22 +232,41 @@ type modeRun struct {
 	ties    string // the Result values that depend on the tie rule
 	dump    []byte // the -events dump
 	profile string // the obs profile
+	elapsed sim.Duration
+	shards  int // the event loops the run used
 }
 
 // runMode runs a decoded program at the given shard count (0 = the
-// serial kernel) with a trace buffer and an obs recorder attached.
-func runMode(nodes int, coll map[string]string, ops []fuzzOp, shards int) modeRun {
+// serial kernel) with a trace buffer and an obs recorder attached:
+// straight (Execute) without pauses, otherwise stepwise, pausing at
+// each of the given times (StepTo) before it finishes.
+func runMode(t *testing.T, nodes int, coll map[string]string, ops []fuzzOp, shards int, pauses []sim.Time) modeRun {
 	cfg := Config{Machine: machine.Get(machine.BGP), Nodes: nodes, Mode: machine.SMP,
 		Fidelity: network.Analytic, Coll: coll, Shards: shards}
 	tb := trace.NewBuffer(0)
 	rec := obs.NewRecorder()
 	cfg.Trace, cfg.Probe = tb, rec
 	vals := make([]int, nodes)
-	res, err := Execute(cfg, fuzzProgram(ops, vals))
+	prog := fuzzProgram(ops, vals)
+	var res *Result
+	var err error
+	if pauses == nil {
+		res, err = Execute(cfg, prog)
+	} else {
+		run, berr := Begin(cfg, prog)
+		if berr != nil {
+			t.Fatal(berr)
+		}
+		for _, p := range pauses {
+			run.StepTo(p)
+		}
+		res, err = run.Finish()
+	}
 	var m modeRun
 	if err != nil {
 		m.result = "error: " + err.Error()
 	} else {
+		m.elapsed, m.shards = res.Elapsed, res.Shards
 		m.result = fmt.Sprintf("elapsed=%d ranks=%v lost=%v net={%s} vals=%v",
 			res.Elapsed, res.RankElapsed, res.Lost, statString(res.Net), vals)
 		// Whether a process is woken by a same-time completion, and
@@ -272,6 +298,10 @@ func sortedLines(b []byte) []byte {
 // same payload outcomes, the same -events dump bytes and the same obs
 // profile from each.
 //
+// Every mode, the serial kernel included, also runs stepwise: paused
+// at the input's 1-3 pause points (StepTo) and then finished, a run
+// must equal the straight run of its mode byte for byte.
+//
 // The serial kernel breaks same-timestamp ties by creation order and
 // the sharded kernels by canonical key (ROADMAP, "One kernel tie
 // rule"), so serial runs are held to what does not depend on the tie
@@ -287,18 +317,34 @@ func FuzzRunModes(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 9, 0, 3, 0, 1, 1, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 3, 1, 2, 1, 0, 2, 1, 0, 1, 2, 9, 1, 4, 3, 2, 5, 3, 4, 1, 2, 4, 2, 5, 5, 3, 0, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		nodes, coll, ops := decodeProgram(data)
+		nodes, coll, ops, fracs := decodeProgram(data)
 		wild := false
 		for _, o := range ops {
 			wild = wild || o.wild()
 		}
-		want := runMode(nodes, coll, ops, 1)
-		modes := []int{2, 4}
-		if !wild {
-			modes = append(modes, 0)
+		want := runMode(t, nodes, coll, ops, 1, nil)
+		scale := sim.Time(want.elapsed)
+		if scale == 0 {
+			scale = sim.Time(sim.Microsecond)
 		}
-		for _, shards := range modes {
-			got := runMode(nodes, coll, ops, shards)
+		pauses := make([]sim.Time, len(fracs))
+		for i, q := range fracs {
+			pauses[i] = scale * sim.Time(q) / 128
+		}
+		for _, shards := range []int{1, 2, 4, 0} {
+			got := want
+			if shards != 1 {
+				got = runMode(t, nodes, coll, ops, shards, nil)
+			}
+			paused := runMode(t, nodes, coll, ops, shards, pauses)
+			if paused.result != got.result || paused.ties != got.ties || paused.shards != got.shards ||
+				!bytes.Equal(paused.dump, got.dump) || paused.profile != got.profile {
+				t.Fatalf("shards=%d: paused at %v, the run differs from the straight run\n got %s %s on %d loops\nwant %s %s on %d loops",
+					shards, pauses, paused.result, paused.ties, paused.shards, got.result, got.ties, got.shards)
+			}
+			if shards == 1 || (shards == 0 && wild) {
+				continue
+			}
 			if got.result != want.result {
 				t.Fatalf("shards=%d: result\n got %s\nwant %s (shards=1)", shards, got.result, want.result)
 			}

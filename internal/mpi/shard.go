@@ -149,11 +149,12 @@ func (c *Comm) syncShard(r *Rank, call *gateCall, val interface{}) interface{} {
 	return res
 }
 
-// runSharded executes the program across nshards event loops. The
-// coordinator loop alternates concurrent shard windows with serial
-// barriers (mail delivery, gate completion, fault processing) and
-// assembles a Result byte-identical to the serial path's.
-func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
+// beginSharded sets a run up on nshards shard kernels: per-shard probe
+// logs and rank placement on the torus-node slabs. It returns the run's
+// rank-event consumer, which the logs merge into when the run ends
+// (finishSharded), and the node faults the coordinator processes
+// between windows. The ranks are spawned after it (World.Begin).
+func (w *World) beginSharded(nshards int) (dst obs.Probe, pend []fault.NodeFault) {
 	w.sharded = true
 	// Every probe call of the run buffers into a log — the
 	// coordinator's (fault processing, recovery charges) or the
@@ -164,7 +165,7 @@ func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 	// With the trace buffer as the only consumer the logs carry only
 	// rank-event hooks and are bounded by its capacity, so a trace-only
 	// run holds at most that many entries per log.
-	dst := w.pb
+	dst = w.pb
 	bound := 0
 	if w.cfg.Probe == nil && w.cfg.Trace != nil {
 		bound = w.cfg.Trace.Max()
@@ -176,10 +177,6 @@ func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 			w.probe = w.coordLog
 		}
 	}
-	defer func() {
-		w.sharded = false
-		w.probe, w.pb = w.cfg.Probe, dst
-	}()
 
 	shards := make([]*shard, nshards)
 	for i := range shards {
@@ -207,7 +204,6 @@ func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 	// serial path schedules them as kernel events). Sorted by time,
 	// stable so same-time faults keep plan order, exactly like the
 	// serial kernel's FIFO tie-break on events scheduled at setup.
-	var pend []fault.NodeFault
 	if w.cfg.Faults != nil {
 		pend = append(pend, w.cfg.Faults.NodeFaults()...)
 		sort.SliceStable(pend, func(i, j int) bool { return pend[i].At < pend[j].At })
@@ -215,47 +211,55 @@ func (w *World) runSharded(program func(*Rank), nshards int) (*Result, error) {
 			reportLinkFaults(w.cfg.Probe, w.cfg.Faults)
 		}
 	}
+	return dst, pend
+}
 
-	w.spawnRanks(program)
-
+// coordinate drives the coordinator loop, which alternates concurrent
+// shard windows with serial barriers (mail delivery, gate completion,
+// fault processing), until every event and node fault with a time
+// strictly below limit has fired. Every window horizon is capped at
+// limit, as it is at node-fault times, so the loop pauses there; a
+// stall step fires only an event below limit, which is the globally
+// earliest one. It reports whether the run has drained: no event and
+// no fault pending.
+func (r *Running) coordinate(limit sim.Time) (drained bool, err error) {
+	w := r.w
 	L := w.net.Lookahead()
-	var runErr error
-
-loop:
 	for {
 		T, ok := w.minShardTime()
 		// Process node faults due at or before the next event — the
 		// serial kernel fires a fault event before any same-time rank
 		// event (the fault was scheduled first). With no events pending,
-		// all remaining faults fire, as they would on the serial kernel.
-		for len(pend) > 0 && (!ok || pend[0].At <= T) {
-			nf := pend[0]
-			pend = pend[1:]
+		// all remaining faults below limit fire, as they would on the
+		// serial kernel.
+		for len(r.pend) > 0 && r.pend[0].At < limit && (!ok || r.pend[0].At <= T) {
+			nf := r.pend[0]
+			r.pend = r.pend[1:]
 			if err := w.coordFault(nf); err != nil {
-				runErr = err
-				break loop
+				return false, err
 			}
 			T, ok = w.minShardTime()
 		}
 		if !ok {
-			break
+			return len(r.pend) == 0, nil
 		}
-		H := T.Add(L)
-		if len(pend) > 0 && pend[0].At < H {
+		if T >= limit {
+			return false, nil
+		}
+		H := min(T.Add(L), limit)
+		if len(r.pend) > 0 && r.pend[0].At < H {
 			// Never open a window across a fault time: the fault must be
 			// applied before any event beyond it fires.
-			H = pend[0].At
+			H = r.pend[0].At
 		}
 		fired := w.runWindows(H)
 		if err := w.shardErr(); err != nil {
-			runErr = err
-			break
+			return false, err
 		}
 		mailed := w.drainMail()
 		w.drainEntries()
 		if err := w.checkEventLimit(); err != nil {
-			runErr = err
-			break
+			return false, err
 		}
 		if !fired && !mailed {
 			// Every shard with pending events is gate-capped. Fire the
@@ -265,55 +269,53 @@ loop:
 			// mail — lands at or after every clock.
 			stepped, err := w.stallStep()
 			if err != nil {
-				runErr = err
-				break
+				return false, err
 			}
 			if stepped {
 				w.drainMail()
 				w.drainEntries()
 				if err := w.checkEventLimit(); err != nil {
-					runErr = err
-					break
+					return false, err
 				}
 			}
 		}
 	}
-	// Merge the logs into the run's consumers on every exit: the
-	// serial kernel feeds them live, so they are populated even when
-	// the run ends in an error.
-	if dst != nil {
+}
+
+// finishSharded ends a sharded run that drained or failed with err. It
+// merges the logs into the run's consumers on every exit (the serial
+// kernel feeds them live, so they are populated even when the run ends
+// in an error), restores the world's probes and seals the outcome.
+func (r *Running) finishSharded(err error) error {
+	w := r.w
+	if r.dst != nil {
 		logs := make([]*obs.ShardLog, len(w.shards))
 		for i, sh := range w.shards {
 			logs[i] = sh.pb
 		}
-		if n := obs.MergeShardLogs(dst, w.coordLog, logs); n > 0 {
+		if n := obs.MergeShardLogs(r.dst, w.coordLog, logs); n > 0 {
 			w.cfg.Trace.AddDropped(n) // only trace-only logs are bounded
 		}
 	}
-
-	if runErr != nil {
-		w.releaseShards()
-		return nil, runErr
+	w.probe, w.pb = w.cfg.Probe, r.dst
+	if err == nil && w.totalLive() > 0 {
+		err = w.mergedDeadlock()
 	}
-	if w.totalLive() > 0 {
-		err := w.mergedDeadlock()
+	if err != nil {
 		w.releaseShards()
-		return nil, w.annotateDeadlock(err)
+		r.seal(nil, w.annotateDeadlock(err))
+		return r.err
 	}
-
 	res := w.buildResult()
-	res.Shards = nshards
+	res.Shards = len(w.shards)
 	stats := w.net.Stats()
 	for _, sh := range w.shards {
 		stats.Add(sh.net.Stats())
 	}
 	res.Net = stats
-	events := w.coordEvents
-	for _, sh := range w.shards {
-		events += sh.k.CountedEvents()
-	}
-	res.Events = events
-	return res, nil
+	res.Events = w.shardedEvents()
+	r.seal(res, nil)
+	return nil
 }
 
 // minShardTime returns the earliest pending event time across all
@@ -466,8 +468,8 @@ func cmpGateEntry(a, b shardGateEntry) int {
 // fail-stop faults fire only when the node hosts a rank, and abort
 // with *RankFailure only while the program still runs.
 func (w *World) coordFault(nf fault.NodeFault) error {
-	w.vnow = nf.At
 	if w.cfg.Faults.Recover() {
+		w.vnow = nf.At
 		w.coordEvents++
 		w.failNode(nf)
 		w.refreshLiveComms()
@@ -483,6 +485,7 @@ func (w *World) coordFault(nf fault.NodeFault) error {
 	if victim < 0 {
 		return nil // the serial path schedules no event either
 	}
+	w.vnow = nf.At
 	w.coordEvents++
 	if w.totalLive() > 0 {
 		if w.probe != nil {
@@ -527,6 +530,16 @@ func (w *World) totalLive() int {
 	return live
 }
 
+// shardedEvents returns the events a sharded run has fired: the
+// coordinator's fault events plus every shard's counted events.
+func (w *World) shardedEvents() uint64 {
+	n := w.coordEvents
+	for _, sh := range w.shards {
+		n += sh.k.CountedEvents()
+	}
+	return n
+}
+
 // checkEventLimit enforces Config.EventLimit globally: the shard
 // kernels run uncapped and the coordinator sums their counted events
 // (plus its own fault events) at each barrier. The reported time is
@@ -536,11 +549,7 @@ func (w *World) checkEventLimit() error {
 	if w.cfg.EventLimit == 0 {
 		return nil
 	}
-	total := w.coordEvents
-	for _, sh := range w.shards {
-		total += sh.k.CountedEvents()
-	}
-	if total > w.cfg.EventLimit {
+	if w.shardedEvents() > w.cfg.EventLimit {
 		var max sim.Time
 		for _, sh := range w.shards {
 			if sh.k.Now() > max {

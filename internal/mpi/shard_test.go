@@ -91,13 +91,45 @@ func statString(s network.Stats) string {
 // buffer, and a fresh logProbe, and captures every observable output.
 func takeSnapshot(t *testing.T, cfg Config, shards int, prog func(*Rank)) snapshot {
 	t.Helper()
+	s, _ := takePaused(t, cfg, shards, prog, nil, nil)
+	return s
+}
+
+// takePaused is takeSnapshot run stepwise when pauses is non-nil:
+// Begin, StepTo at each pause (calling check, when non-nil, after each
+// one), then Finish. It also returns the run's Now and Events after
+// every pause.
+func takePaused(t *testing.T, cfg Config, shards int, prog func(*Rank), pauses []sim.Time, check func(*Running)) (snapshot, []string) {
+	t.Helper()
 	pb := &logProbe{}
 	tb := trace.NewBuffer(0)
 	cfg.Shards = shards
 	cfg.Probe = pb
 	cfg.Trace = tb
-	res, err := Execute(cfg, prog)
 	var s snapshot
+	var marks []string
+	var res *Result
+	var err error
+	if pauses == nil {
+		res, err = Execute(cfg, prog)
+	} else {
+		run, berr := Begin(cfg, prog)
+		if berr != nil {
+			t.Fatalf("Begin: %v", berr)
+		}
+		for _, p := range pauses {
+			err := run.StepTo(p)
+			if run.Now() >= p && !run.Done() {
+				t.Errorf("StepTo(%d) paused at %d: fired an event at or past the pause", p, run.Now())
+			}
+			marks = append(marks, fmt.Sprintf("StepTo(%d): now=%d events=%d done=%v err=%v",
+				p, run.Now(), run.Events(), run.Done(), err))
+			if check != nil {
+				check(run)
+			}
+		}
+		res, err = run.Finish()
+	}
 	if err != nil {
 		s.err = err.Error()
 	}
@@ -107,7 +139,7 @@ func takeSnapshot(t *testing.T, cfg Config, shards int, prog func(*Rank)) snapsh
 			e.T, e.Rank, e.Kind, e.Peer, e.Bytes, e.Tag, e.Label, e.Algo))
 	}
 	if res == nil {
-		return s
+		return s, marks
 	}
 	s.shards = res.Shards
 	s.result = fmt.Sprintf("elapsed=%d events=%d dropped=%d lost=%v peak=%d",
@@ -122,7 +154,7 @@ func takeSnapshot(t *testing.T, cfg Config, shards int, prog func(*Rank)) snapsh
 		s.timers += fmt.Sprintf("%s=%v;", n, res.Timers[n])
 	}
 	s.net = statString(res.Net)
-	return s
+	return s, marks
 }
 
 func diffLines(t *testing.T, what string, base, got []string) {
@@ -168,26 +200,31 @@ func checkEquiv(t *testing.T, cfg Config, prog func(*Rank), shards ...int) {
 func checkEquivSharded(t *testing.T, cfg Config, prog func(*Rank), want snapshot, shards ...int) {
 	t.Helper()
 	for _, n := range shards {
-		got := takeSnapshot(t, cfg, n, prog)
-		if got.err != want.err {
-			t.Errorf("shards=%d: err = %q, want %q", n, got.err, want.err)
-			continue
-		}
-		if got.result != want.result {
-			t.Errorf("shards=%d: result = %q, want %q", n, got.result, want.result)
-		}
-		if got.ranks != want.ranks {
-			t.Errorf("shards=%d: rank elapsed mismatch\n got %s\nwant %s", n, got.ranks, want.ranks)
-		}
-		if got.timers != want.timers {
-			t.Errorf("shards=%d: timers = %q, want %q", n, got.timers, want.timers)
-		}
-		if got.net != want.net {
-			t.Errorf("shards=%d: net stats\n got %s\nwant %s", n, got.net, want.net)
-		}
-		diffLines(t, fmt.Sprintf("shards=%d trace", n), want.trace, got.trace)
-		diffLines(t, fmt.Sprintf("shards=%d probe", n), want.probe, got.probe)
+		checkSameRun(t, fmt.Sprintf("shards=%d", n), want, takeSnapshot(t, cfg, n, prog))
 	}
+}
+
+// checkSameRun asserts two snapshots are identical, streams included.
+func checkSameRun(t *testing.T, what string, want, got snapshot) {
+	t.Helper()
+	if got.err != want.err {
+		t.Errorf("%s: err = %q, want %q", what, got.err, want.err)
+		return
+	}
+	if got.result != want.result {
+		t.Errorf("%s: result = %q, want %q", what, got.result, want.result)
+	}
+	if got.ranks != want.ranks {
+		t.Errorf("%s: rank elapsed mismatch\n got %s\nwant %s", what, got.ranks, want.ranks)
+	}
+	if got.timers != want.timers {
+		t.Errorf("%s: timers = %q, want %q", what, got.timers, want.timers)
+	}
+	if got.net != want.net {
+		t.Errorf("%s: net stats\n got %s\nwant %s", what, got.net, want.net)
+	}
+	diffLines(t, what+" trace", want.trace, got.trace)
+	diffLines(t, what+" probe", want.probe, got.probe)
 }
 
 // checkSerialValues compares the serial kernel's run values against

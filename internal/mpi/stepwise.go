@@ -2,48 +2,61 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
+	"bgpsim/internal/fault"
+	"bgpsim/internal/obs"
 	"bgpsim/internal/sim"
 )
 
 // Running is a program in stepwise execution: started with
 // World.Begin, advanced to chosen points in virtual time with StepTo,
-// and completed with Finish. The event order — and therefore every
-// result byte — is identical to World.Run's: StepTo only chooses where
-// the event loop pauses, never what it fires. That equivalence
-// (run-to-T-then-finish ≡ straight run) is what makes Running the
-// snapshot/restore substrate of the bgpsimd server: a long run can be
-// parked at time T, inspected, and resumed without changing anything
-// it would have computed.
-//
-// Stepwise execution always uses the serial kernel: the conservative
-// sharded coordinator owns its shards' windows and cannot pause at an
-// arbitrary outside time. Configs requesting shards run serial here
-// (Result.Shards reports 1) — output bytes are identical either way by
-// the sharded-kernel determinism contract.
+// and completed with Finish. It is the only way a world runs —
+// World.Run is Begin followed by Finish — on the serial kernel and on
+// the sharded coordinator alike. StepTo only chooses where the event
+// loop pauses, never what it fires, so run-to-T-then-finish produces
+// byte-for-byte the result of a straight run. That equivalence is what
+// makes Running the snapshot/restore substrate of the bgpsimd server:
+// a long run can be parked at time T, inspected, and resumed without
+// changing anything it would have computed.
 type Running struct {
-	w    *World
+	w *World
+
+	// Sharded runs only: the node faults the coordinator has still to
+	// process, in firing order, and the run's rank-event consumer that
+	// the shard logs merge into when the run ends.
+	pend []fault.NodeFault
+	dst  obs.Probe
+
 	done bool
 	res  *Result
 	err  error
 }
 
-// Begin spawns the program's ranks and returns a Running handle
-// without firing any event. The world is consumed: it cannot be run
-// again.
+// forever is the pause time of Finish: no event or fault lies beyond
+// it.
+const forever = sim.Time(math.MaxInt64)
+
+// Begin sets the run up on the serial kernel or, when the config
+// shards, on the shard kernels, spawns the program's ranks and returns
+// a Running handle without firing any event. The world is consumed:
+// it cannot be run again.
 func (w *World) Begin(program func(*Rank)) (*Running, error) {
 	if w.ran {
 		return nil, fmt.Errorf("mpi: world already ran")
 	}
 	w.ran = true
-	if w.cfg.Faults != nil {
+	r := &Running{w: w}
+	if s := w.effectiveShards(); s >= 1 {
+		r.dst, r.pend = w.beginSharded(s)
+	} else if w.cfg.Faults != nil {
 		w.scheduleNodeFaults(w.cfg.Faults)
 		if w.probe != nil {
 			reportLinkFaults(w.probe, w.cfg.Faults)
 		}
 	}
 	w.spawnRanks(program)
-	return &Running{w: w}, nil
+	return r, nil
 }
 
 // Begin builds a world from cfg and starts program on it stepwise.
@@ -55,15 +68,21 @@ func Begin(cfg Config, program func(*Rank)) (*Running, error) {
 	return w.Begin(program)
 }
 
-// StepTo fires every pending event with a timestamp strictly below t,
-// then pauses with all rank processes suspended. A run that ends inside
-// the window (normally or by error) is finalized exactly as Finish
-// would; further StepTo calls are then no-ops and Finish returns the
-// stored outcome. Rewinding is impossible: a t at or before Now fires
-// nothing.
+// StepTo fires every pending event, and processes every node fault,
+// with a timestamp strictly below t, then pauses with all rank
+// processes suspended. A run that ends inside the window (normally or
+// by error) is finalized exactly as Finish would; further StepTo calls
+// are then no-ops and Finish returns the stored outcome. Rewinding is
+// impossible: a t at or before Now fires nothing.
 func (r *Running) StepTo(t sim.Time) error {
 	if r.done {
 		return r.err
+	}
+	if r.w.sharded {
+		if drained, err := r.coordinate(t); err != nil || drained {
+			return r.finishSharded(err)
+		}
+		return nil
 	}
 	if err := r.w.kernel.RunWindow(t); err != nil {
 		r.w.kernel.Release()
@@ -79,18 +98,36 @@ func (r *Running) StepTo(t sim.Time) error {
 	return nil
 }
 
-// Now returns the paused run's current virtual time.
-func (r *Running) Now() sim.Time { return r.w.kernel.Now() }
+// Now returns the paused run's current virtual time: the time of the
+// latest fired event or, on the sharded coordinator, processed node
+// fault.
+func (r *Running) Now() sim.Time {
+	w := r.w
+	if !w.sharded {
+		return w.kernel.Now()
+	}
+	now := w.vnow
+	for _, sh := range w.shards {
+		now = max(now, sh.k.Now())
+	}
+	return now
+}
 
-// Events returns the number of simulation events fired so far.
-func (r *Running) Events() uint64 { return r.w.kernel.Events() }
+// Events returns the number of simulation events fired so far, counted
+// as Result.Events counts them.
+func (r *Running) Events() uint64 {
+	if !r.w.sharded {
+		return r.w.kernel.Events()
+	}
+	return r.w.shardedEvents()
+}
 
 // Done reports whether the run has completed (successfully or not).
 func (r *Running) Done() bool { return r.done }
 
 // Finish runs the remaining events to completion and returns the
-// result — byte-for-byte the result World.Run would have returned,
-// however many StepTo pauses preceded it.
+// result — byte-for-byte the result of a straight run, however many
+// StepTo pauses preceded it.
 func (r *Running) Finish() (*Result, error) {
 	if !r.done {
 		r.finalize()
@@ -98,12 +135,15 @@ func (r *Running) Finish() (*Result, error) {
 	return r.res, r.err
 }
 
-// finalize runs the kernel to completion (a single Run call — the
-// kernel refuses a second; when StepTo already drained the queue, Run
-// just performs the live-process deadlock check and marks the kernel
-// stopped, exactly as the straight path does) and builds the result
-// with the serial Run path's bookkeeping: stats, events, shard count.
+// finalize runs the run to completion and builds its result. On the
+// serial kernel that is a single Run call (the kernel refuses a
+// second; when StepTo already drained the queue, Run just performs the
+// live-process deadlock check and marks the kernel stopped).
 func (r *Running) finalize() error {
+	if r.w.sharded {
+		_, err := r.coordinate(forever)
+		return r.finishSharded(err)
+	}
 	if err := r.w.kernel.Run(); err != nil {
 		r.seal(nil, r.w.annotateDeadlock(err))
 		return r.err

@@ -62,11 +62,13 @@ type Config struct {
 	// Shards splits the simulation across that many event loops running
 	// on concurrent goroutines, synchronized by a conservative
 	// time-window protocol (shard.go). Ranks are partitioned into
-	// contiguous torus-node slabs; results are byte-identical to a
-	// serial run. Only the analytic fidelity without link faults can
-	// shard (the contention and packet models share per-link state);
-	// other configurations silently run serial — Result.Shards reports
-	// what actually ran. Zero or one means serial.
+	// contiguous torus-node slabs; results are byte-identical at any
+	// count N >= 1. Zero runs the serial kernel, which breaks
+	// same-timestamp ties by another rule, so its results can differ
+	// (sim.Kernel.Keyed). Only the analytic fidelity without link
+	// faults can shard (the contention and packet models share per-link
+	// state); other configurations silently run serial — Result.Shards
+	// reports what actually ran.
 	Shards int
 
 	// Trace, when non-nil, records message and collective events. It
@@ -176,8 +178,8 @@ type World struct {
 	program func(*Rank)
 	finish  []sim.Duration
 
-	// Sharded-execution state (shard.go). sharded is true while
-	// runSharded drives the coordinator loop; vnow is the coordinator's
+	// Sharded-execution state (shard.go). sharded is true once Begin
+	// has set the run up on shard kernels; vnow is the coordinator's
 	// virtual time (what w.now() reports during barrier-side work);
 	// allComms registers every communicator so the coordinator can
 	// refresh live-membership caches after a node failure before shards
@@ -451,32 +453,15 @@ func (r *Result) TimerOfRank(rank int, name string) sim.Duration {
 	return ds[rank]
 }
 
-// Run executes the program on every rank and returns the result. A
-// World can run only once. An MPI deadlock in the program is returned
-// as an error (wrapping *sim.DeadlockError).
+// Run executes the program on every rank and returns the result: Begin
+// followed by Finish. A World can run only once. An MPI deadlock in the
+// program is returned as an error (wrapping *sim.DeadlockError).
 func (w *World) Run(program func(*Rank)) (*Result, error) {
-	if w.ran {
-		return nil, fmt.Errorf("mpi: world already ran")
+	run, err := w.Begin(program)
+	if err != nil {
+		return nil, err
 	}
-	w.ran = true
-	if s := w.effectiveShards(); s >= 1 {
-		return w.runSharded(program, s)
-	}
-	if w.cfg.Faults != nil {
-		w.scheduleNodeFaults(w.cfg.Faults)
-		if w.probe != nil {
-			reportLinkFaults(w.probe, w.cfg.Faults)
-		}
-	}
-	w.spawnRanks(program)
-	if err := w.kernel.Run(); err != nil {
-		return nil, w.annotateDeadlock(err)
-	}
-	res := w.buildResult()
-	res.Net = w.net.Stats()
-	res.Events = w.kernel.Events()
-	res.Shards = 1
-	return res, nil
+	return run.Finish()
 }
 
 // effectiveShards decides the execution path: 0 means the serial
@@ -512,8 +497,8 @@ func (w *World) effectiveShards() int {
 
 // spawnRanks starts every rank's process on the rank's kernel (the
 // World's, or its shard's in a sharded run) and sets up the per-rank
-// finish times the Result reports. Shared by the serial, stepwise and
-// sharded paths. The process body is a closure rather than a method
+// finish times the Result reports (Begin, on either kernel). The
+// process body is a closure rather than a method
 // value, and only runs under transparent recovery carry the deferred
 // unwind (the only way a rank unwinds without failing the run), so a
 // healthy run puts one small frame under the program on every rank's

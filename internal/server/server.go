@@ -260,10 +260,12 @@ func (s *Server) worker() {
 }
 
 // runJob executes a job in identity form and publishes its document.
-// Identity form means serial stepwise execution (Shards zeroed), so
-// the whole result — stdout, stderr, artifacts — depends only on the
-// job's hash, never on this server's execution knobs; that is what
-// makes the entire document cacheable.
+// Identity form means execution on the serial kernel (Shards zeroed):
+// a run at shards 0 can print different bytes than one at shards >= 1
+// (the kernels break same-timestamp ties by different rules), so only
+// one fixed count makes the whole result — stdout, stderr, artifacts —
+// depend on the job's hash alone, never on this server's execution
+// knobs; that is what makes the entire document cacheable.
 func (s *Server) runJob(js *jobState) {
 	js.transition(statusRunning, "")
 	var stdout, stderr bytes.Buffer
@@ -364,10 +366,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Identity form: the server always runs serially, so results are
-	// independent of the client's shard request (output bytes are
-	// shard-invariant by the kernel's determinism guarantee, and the
-	// serial path additionally never emits shard-fallback notes).
+	// Identity form: the server always runs on the serial kernel, so
+	// results are independent of the client's shard request. Output
+	// bytes are identical at any count >= 1 but can differ between 0
+	// and 1, so the request cannot simply be honoured; the serial
+	// kernel also never emits shard-fallback notes.
 	spec.Shards = 0
 	hash := spec.Hash()
 

@@ -47,37 +47,22 @@ func (h *boxedHeap) Pop() interface{} {
 	return e
 }
 
-// churnWidth is the standing event population during queue churn.
-const churnWidth = 256
+// churnWidth is the standing event population during queue churn;
+// churnDeep is about the mean depth of the serial kernel's queue in a
+// sweep-contention job (691).
+const (
+	churnWidth = 256
+	churnDeep  = 1024
+)
 
 // BenchmarkKernelChurn measures schedule/fire throughput: a standing
 // population of events where every fired event schedules a successor
-// at a pseudo-random future offset. The fastpath case drives the real
-// kernel; the containerheap case drives the seed queue replica with an
-// identical workload.
+// at a pseudo-random future offset. The fastpath cases drive the real
+// kernel at two depths; the containerheap case drives the seed queue
+// replica with the same workload as fastpath.
 func BenchmarkKernelChurn(b *testing.B) {
-	b.Run("fastpath", func(b *testing.B) {
-		b.ReportAllocs()
-		k := sim.NewKernel()
-		rng := sim.NewRNG(1)
-		remaining := b.N
-		var tick func()
-		tick = func() {
-			if remaining <= 0 {
-				return
-			}
-			remaining--
-			k.After(sim.Duration(rng.Intn(1000)+1)*sim.Nanosecond, tick)
-		}
-		for i := 0; i < churnWidth && i < b.N; i++ {
-			remaining--
-			k.After(sim.Duration(rng.Intn(1000)+1)*sim.Nanosecond, tick)
-		}
-		b.ResetTimer()
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	})
+	b.Run("fastpath", func(b *testing.B) { churn(b, churnWidth) })
+	b.Run("fastpath-deep", func(b *testing.B) { churn(b, churnDeep) })
 	b.Run("containerheap", func(b *testing.B) {
 		b.ReportAllocs()
 		var h boxedHeap
@@ -112,6 +97,30 @@ func BenchmarkKernelChurn(b *testing.B) {
 			e.fire()
 		}
 	})
+}
+
+// churn runs the kernel's churn workload with width standing events.
+func churn(b *testing.B, width int) {
+	b.ReportAllocs()
+	k := sim.NewKernel()
+	rng := sim.NewRNG(1)
+	remaining := b.N
+	var tick func()
+	tick = func() {
+		if remaining <= 0 {
+			return
+		}
+		remaining--
+		k.After(sim.Duration(rng.Intn(1000)+1)*sim.Nanosecond, tick)
+	}
+	for i := 0; i < width && i < b.N; i++ {
+		remaining--
+		k.After(sim.Duration(rng.Intn(1000)+1)*sim.Nanosecond, tick)
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkKernelPingPong measures the Spawn/Block/Wake resume path:

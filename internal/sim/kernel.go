@@ -23,102 +23,40 @@ type Func func()
 func (f Func) Fire() { f() }
 
 // event is a scheduled handler. Events with equal timestamps fire in
-// seq order: the order they were scheduled on the serial kernel, the
-// canonical key on keyed kernels. Either makes runs deterministic.
+// schedule order on the serial kernel, which its queue keeps by
+// appending to FIFO buckets, and in canonical-key order on keyed
+// kernels. Either makes runs deterministic. seq is the schedule number
+// on the serial kernel (PeekKey reports it) and the canonical key on
+// keyed kernels.
 type event struct {
 	t   Time
 	seq uint64
 	h   Handler
 }
 
-// less orders events by (timestamp, schedule order).
-func (e *event) less(o *event) bool {
-	if e.t != o.t {
-		return e.t < o.t
-	}
-	return e.seq < o.seq
-}
-
-// eventQueue is a 4-ary min-heap over a concrete event slice. Relative
-// to container/heap over an interface type it avoids boxing on push,
-// type assertions on pop, and the indirect Less/Swap calls; the wider
-// fan-out halves the tree depth, trading a few extra comparisons per
-// sift-down for far fewer swaps on the mostly-sorted queues a
-// simulation produces.
-type eventQueue []event
-
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !h[i].less(&h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	*q = h
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop the handler reference so the GC can reclaim it
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		min := i
-		c := i*4 + 1
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for ; c < end; c++ {
-			if h[c].less(&h[min]) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top
-}
-
-// Kernel is a discrete-event simulation engine. A Kernel is not safe
-// for concurrent use; all interaction must happen from the goroutine
-// that calls Run or from process bodies (which the kernel serializes).
-// Distinct Kernels share no state, so independent simulations may run
-// concurrently on separate goroutines (see internal/runner).
+// Kernel is a discrete-event simulation engine. It fires events in
+// timestamp order, and events with equal timestamps in the order they
+// were scheduled (on keyed kernels, in canonical-key order; see
+// Keyed). A Kernel is not safe for concurrent use; all interaction
+// must happen from the goroutine that calls Run or from process bodies
+// (which the kernel serializes). Distinct Kernels share no state, so
+// independent simulations may run concurrently on separate goroutines
+// (see internal/runner).
 type Kernel struct {
 	now   Time
 	seq   uint64
 	fired uint64
 
-	// events and runq are the serial kernel's queue; keyed kernels use
-	// kq instead.
-	events eventQueue
-
-	// runq is the same-timestamp fast path: events scheduled at the
-	// current time (Wake, Sleep(0)-style resumes, Spawn) are appended
-	// here in FIFO order instead of paying a heap push and pop. Because
-	// events cannot be scheduled in the past and the run loop always
-	// fires the globally minimal (t, seq), every pending runq entry has
-	// t == now and seq above any same-time heap entry, so a plain
-	// head-indexed slice preserves the exact seed ordering.
-	runq     []event
-	runqHead int
+	// q is the serial kernel's queue: a monotone radix queue whose FIFO
+	// buckets fire same-timestamp events in schedule order (see
+	// radixQueue). Every pending event is at or after q.last, and
+	// q.last is at or after now.
+	q radixQueue
 
 	// kq is the keyed kernels' queue: per-timestamp buckets sorted by
 	// canonical key when they open (see bucketQueue). The serial kernel
-	// keeps the heap and runq: it sees about three events per
-	// timestamp, too few for buckets to pay.
+	// sees about three events per timestamp, too few for such buckets
+	// to pay.
 	kq bucketQueue
 
 	procs    []*Proc
@@ -173,17 +111,9 @@ type Probe interface {
 	ProcUnblock(tag int, t Time)
 }
 
-// initialQueueCap pre-sizes the heap and run queue so steady-state
-// scheduling in small and mid-size models never grows the backing
-// arrays.
-const initialQueueCap = 256
-
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		events: make(eventQueue, 0, initialQueueCap),
-		runq:   make([]event, 0, initialQueueCap),
-	}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -221,24 +151,36 @@ func (k *Kernel) keyFor(p *Proc) uint64 {
 // schedule enqueues handler h at absolute time t. Scheduling in the
 // past panics: it would break causality.
 func (k *Kernel) schedule(t Time, h Handler) {
-	if t < k.now {
-		k.pastEvent(t)
-	}
 	if k.keyed {
+		if t < k.now {
+			k.pastEvent(t)
+		}
 		// A resume is keyed by the resumed process, anything else by the
 		// kernel's own counter. Canonical keys are not monotone in
 		// creation order, so same-timestamp events are ordered when
-		// their bucket opens, not by the runq FIFO.
+		// their bucket opens, not by a FIFO.
 		p, _ := h.(*Proc)
 		k.kq.push(t, k.keyFor(p), h)
 		return
 	}
-	k.seq++
-	if t == k.now {
-		k.runq = append(k.runq, event{t: t, seq: k.seq, h: h})
-		return
+	if t < k.q.last {
+		k.before(t)
 	}
-	k.events.push(event{t: t, seq: k.seq, h: h})
+	k.seq++
+	k.q.push(event{t: t, seq: k.seq, h: h})
+}
+
+// before handles a serial schedule earlier than the queue's anchor: it
+// panics if t is in the past, and otherwise re-anchors the queue at t
+// (the anchor runs ahead of the clock only after a peek). Out of line
+// for the same reason as pastEvent.
+//
+//go:noinline
+func (k *Kernel) before(t Time) {
+	if t < k.now {
+		k.pastEvent(t)
+	}
+	k.q.reanchor(t)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -279,7 +221,7 @@ func (k *Kernel) pastEvent(t Time) {
 // mixing seq-keyed and canonically-keyed events in one queue would
 // interleave them arbitrarily.
 func (k *Kernel) Keyed() {
-	if k.fired > 0 || k.seq > 0 || len(k.events) > 0 {
+	if k.fired > 0 || k.seq > 0 {
 		panic("sim: Keyed must be called on a fresh kernel")
 	}
 	k.keyed = true
@@ -387,32 +329,13 @@ func (k *Kernel) Abort(err error) {
 // Live returns the number of spawned processes that have not finished.
 func (k *Kernel) Live() int { return k.live }
 
-// next dequeues the globally minimal pending event. On the serial
-// kernel it prefers the run-queue head when that wins the (t, seq)
-// comparison against the heap top. The second result is false when no
-// event is pending.
+// next dequeues the globally minimal pending event. The second result
+// is false when no event is pending.
 func (k *Kernel) next() (event, bool) {
 	if k.keyed {
 		return k.kq.pop()
 	}
-	if k.runqHead < len(k.runq) {
-		head := &k.runq[k.runqHead]
-		if len(k.events) > 0 && k.events[0].less(head) {
-			return k.events.pop(), true
-		}
-		e := *head
-		*head = event{}
-		k.runqHead++
-		if k.runqHead == len(k.runq) {
-			k.runq = k.runq[:0]
-			k.runqHead = 0
-		}
-		return e, true
-	}
-	if len(k.events) > 0 {
-		return k.events.pop(), true
-	}
-	return event{}, false
+	return k.q.pop()
 }
 
 // Run fires events in timestamp order until the queue drains. It
@@ -469,45 +392,37 @@ func (k *Kernel) Release() {
 
 // PeekTime returns the timestamp of the earliest pending event without
 // dequeuing it. The second result is false when no event is pending.
+// On the serial kernel it may refill the queue's lowest bucket, which
+// moves the queue's anchor to that time; a later schedule before it
+// re-anchors the queue.
 func (k *Kernel) PeekTime() (Time, bool) {
 	if k.keyed {
 		return k.kq.peekTime()
 	}
-	if k.runqHead < len(k.runq) {
-		head := &k.runq[k.runqHead]
-		if len(k.events) > 0 && k.events[0].less(head) {
-			return k.events[0].t, true
-		}
-		return head.t, true
+	e, ok := k.q.peek()
+	if !ok {
+		return 0, false
 	}
-	if len(k.events) > 0 {
-		return k.events[0].t, true
-	}
-	return 0, false
+	return e.t, true
 }
 
 // PeekKey returns the timestamp and ordering key of the earliest
-// pending event without dequeuing it. The sharded coordinator compares
-// (time, key) across shard kernels to pick the globally canonical next
-// event when every shard is gated. The third result is false when no
-// event is pending. On a keyed kernel it may open the earliest
-// timestamp bucket, which sorts that bucket once; an event scheduled
-// afterwards for an earlier time puts the bucket back.
+// pending event without dequeuing it: the canonical key on a keyed
+// kernel, the schedule number on the serial one. The sharded
+// coordinator compares (time, key) across shard kernels to pick the
+// globally canonical next event when every shard is gated. The third
+// result is false when no event is pending. On a keyed kernel it may
+// open the earliest timestamp bucket, which sorts that bucket once; an
+// event scheduled afterwards for an earlier time puts the bucket back.
 func (k *Kernel) PeekKey() (Time, uint64, bool) {
 	if k.keyed {
 		return k.kq.peekKey()
 	}
-	if k.runqHead < len(k.runq) {
-		head := &k.runq[k.runqHead]
-		if len(k.events) > 0 && k.events[0].less(head) {
-			return k.events[0].t, k.events[0].seq, true
-		}
-		return head.t, head.seq, true
+	e, ok := k.q.peek()
+	if !ok {
+		return 0, 0, false
 	}
-	if len(k.events) > 0 {
-		return k.events[0].t, k.events[0].seq, true
-	}
-	return 0, 0, false
+	return e.t, e.seq, true
 }
 
 // fire executes one dequeued event and applies the abort and

@@ -22,7 +22,36 @@ func FuzzKeyedQueueOrder(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7, 4, 20, 4, 20, 5, 5, 3, 2})
 	f.Add([]byte{0, 3, 0, 3, 1, 3, 8, 0, 3, 1, 3, 0, 0, 0, 4, 40, 5, 2, 3})
 	f.Add([]byte{7, 2, 0, 7, 6, 3, 1, 6, 3, 5, 8, 1, 4, 3, 6, 0, 0, 4, 60})
-	rng := NewRNG(22)
+	addRandomSeeds(f, 22)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkQueueOrder(data, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzSerialQueueOrder is FuzzKeyedQueueOrder for the serial kernel:
+// the radix queue must fire the minimum pending (time, schedule
+// number) each time. Its times spread over many bits, so events cross
+// the queue's buckets, and a schedule after a peek can fall before the
+// time the peek anchored the queue at.
+func FuzzSerialQueueOrder(f *testing.F) {
+	// Hand-written seeds: same-time ping-pong between processes, sleeps
+	// across high bits, and schedules below a peeked time.
+	f.Add([]byte{7, 7, 6, 1, 6, 0, 4, 5, 0, 0, 5, 0, 5, 1, 5})
+	f.Add([]byte{0, 7, 0, 6, 0, 5, 8, 0, 8, 2, 8, 3, 4, 7, 5, 5, 5})
+	f.Add([]byte{7, 0, 6, 0, 7, 0, 7, 8, 8, 8, 2, 3, 4, 6, 0, 0, 5, 5, 5, 5})
+	addRandomSeeds(f, 24)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkQueueOrder(data, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// addRandomSeeds adds a dozen pseudo-random schedules to f's corpus.
+func addRandomSeeds(f *testing.F, seed uint64) {
+	rng := NewRNG(seed)
 	for i := 0; i < 12; i++ {
 		b := make([]byte, 64+rng.Intn(448))
 		for j := range b {
@@ -30,11 +59,6 @@ func FuzzKeyedQueueOrder(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkKeyedOrder(data); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // refEvent is a pending event of the reference model.
@@ -57,18 +81,19 @@ func (h *refHeap) Push(x any)    { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() (x any)  { x, *h = (*h)[len(*h)-1], (*h)[:len(*h)-1]; return x }
 func (h refHeap) min() *refEvent { return &h[0] }
 
-// keyedHarness runs one fuzz schedule. Process bodies run on their
+// queueHarness runs one fuzz schedule. Process bodies run on their
 // coroutines, so a mismatch is recorded in err rather than reported
 // with t.Fatal; the test loop stops at the first one.
-type keyedHarness struct {
-	k      *Kernel
-	data   []byte
-	pos    int
-	ref    refHeap
-	used   map[uint64]bool // keys of AtTagged events with free stamps
-	procs  []*Proc
-	expect map[*Proc]uint64 // key of each process's one pending resume
-	err    error
+type queueHarness struct {
+	k       *Kernel
+	data    []byte
+	pos     int
+	offsets []Duration // what at adds to now
+	ref     refHeap
+	used    map[uint64]bool // keys of AtTagged events with free stamps
+	procs   []*Proc
+	expect  map[*Proc]uint64 // key of each process's one pending resume
+	err     error
 }
 
 // fuzzMaxProcs bounds the processes (each a coroutine) one input makes.
@@ -80,7 +105,7 @@ const fuzzMaxProcs = 24
 const fuzzArbitraryTag = 1000
 
 type fuzzEvent struct {
-	h   *keyedHarness
+	h   *queueHarness
 	key uint64
 }
 
@@ -108,7 +133,7 @@ func (e *fuzzEvent) Fire() {
 	}
 }
 
-func (h *keyedHarness) next() (byte, bool) {
+func (h *queueHarness) next() (byte, bool) {
 	if h.err != nil || h.pos >= len(h.data) {
 		return 0, false
 	}
@@ -117,26 +142,33 @@ func (h *keyedHarness) next() (byte, bool) {
 	return b, true
 }
 
-func (h *keyedHarness) failf(format string, args ...any) {
+func (h *queueHarness) failf(format string, args ...any) {
 	if h.err == nil {
 		h.err = fmt.Errorf(format, args...)
 	}
 }
 
-// at draws a time at or after now from a few offsets, so that many
-// events share each timestamp.
-func (h *keyedHarness) at() Time {
+// Schedule offsets. The keyed kernels' are small, so that many events
+// share each timestamp; the serial kernel's also span many bits, so
+// that events land in many of its queue's buckets.
+var (
+	keyedOffsets  = []Duration{0, 0, 1 * Nanosecond, 1 * Nanosecond, 2 * Nanosecond, 3 * Nanosecond, 5 * Nanosecond, 8 * Nanosecond}
+	serialOffsets = []Duration{0, 0, 1, 1 * Nanosecond, 3 * Nanosecond, 4096, Microsecond, Millisecond}
+)
+
+// at draws a time at or after now from the harness's offsets.
+func (h *queueHarness) at() Time {
 	b, _ := h.next()
-	return h.k.now.Add([]Duration{0, 0, 1, 1, 2, 3, 5, 8}[b%8] * Nanosecond)
+	return h.k.now.Add(h.offsets[int(b)%len(h.offsets)])
 }
 
-func (h *keyedHarness) expectAt(t Time, key uint64) {
+func (h *queueHarness) expectAt(t Time, key uint64) {
 	heap.Push(&h.ref, refEvent{t, key})
 }
 
 // fired pops the reference minimum and compares it with the event the
 // kernel is firing.
-func (h *keyedHarness) fired(key uint64) {
+func (h *queueHarness) fired(key uint64) {
 	if len(h.ref) == 0 {
 		h.failf("fired (%v, %#x) with no event pending in the reference", h.k.now, key)
 		return
@@ -147,16 +179,17 @@ func (h *keyedHarness) fired(key uint64) {
 	}
 }
 
-func (h *keyedHarness) schedAt(t Time) {
+func (h *queueHarness) schedAt(t Time) {
 	e := &fuzzEvent{h: h}
 	h.k.At(t, e.Fire)
-	e.key = packKey(-1, h.k.seq)
+	e.key = h.lastKey(nil)
 	h.expectAt(t, e.key)
 }
 
 // schedTagged schedules under an arbitrary tag and stamp, skipping
-// stamps already used so that every pending key is distinct.
-func (h *keyedHarness) schedTagged(t Time) {
+// stamps already used so that every pending key is distinct. The
+// serial kernel orders the event by schedule number instead.
+func (h *queueHarness) schedTagged(t Time) {
 	a, _ := h.next()
 	b, _ := h.next()
 	tag, stamp := fuzzArbitraryTag+int(a%16), uint64(b)<<8|uint64(a)
@@ -166,21 +199,41 @@ func (h *keyedHarness) schedTagged(t Time) {
 	e := &fuzzEvent{h: h, key: packKey(tag, stamp)}
 	h.used[e.key] = true
 	h.k.AtTagged(t, tag, stamp, e)
+	if !h.k.keyed {
+		e.key = h.k.seq
+	}
 	h.expectAt(t, e.key)
 }
 
-// resumeKey is the key the kernel gave p's latest resume.
-func (h *keyedHarness) resumeKey(p *Proc) uint64 {
-	if p.tag >= 0 {
+// lastKey is the key the kernel gave the event it scheduled last, a
+// resume of p or (p nil) anything else.
+func (h *queueHarness) lastKey(p *Proc) uint64 {
+	switch {
+	case !h.k.keyed:
+		return h.k.seq
+	case p != nil && p.tag >= 0:
 		return packKey(p.tag, p.stampCtr)
+	default:
+		return packKey(-1, h.k.seq)
 	}
-	return packKey(-1, h.k.seq)
+}
+
+// nextKey is the key the kernel will give the next resume of p.
+func (h *queueHarness) nextKey(p *Proc) uint64 {
+	switch {
+	case !h.k.keyed:
+		return h.k.seq + 1
+	case p.tag >= 0:
+		return packKey(p.tag, p.stampCtr+1)
+	default:
+		return packKey(-1, h.k.seq+1)
+	}
 }
 
 // wake resumes a blocked process with no resume in flight, so each
 // process has at most one pending resume and its firing is observed
 // by its body.
-func (h *keyedHarness) wake(t Time) {
+func (h *queueHarness) wake(t Time) {
 	b, _ := h.next()
 	if len(h.procs) == 0 {
 		return
@@ -190,12 +243,12 @@ func (h *keyedHarness) wake(t Time) {
 		return
 	}
 	p.WakeAt(t)
-	h.expect[p] = h.resumeKey(p)
+	h.expect[p] = h.lastKey(p)
 	h.expectAt(t, h.expect[p])
 }
 
 // spawn starts a process, tagged or (every fourth) untagged.
-func (h *keyedHarness) spawn() {
+func (h *queueHarness) spawn() {
 	if len(h.procs) >= fuzzMaxProcs {
 		return
 	}
@@ -206,11 +259,11 @@ func (h *keyedHarness) spawn() {
 		p = h.k.SpawnTagged("fuzz", len(h.procs), h.body)
 	}
 	h.procs = append(h.procs, p)
-	h.expect[p] = h.resumeKey(p)
+	h.expect[p] = h.lastKey(p)
 	h.expectAt(h.k.now, h.expect[p])
 }
 
-func (h *keyedHarness) body(p *Proc) {
+func (h *queueHarness) body(p *Proc) {
 	h.fired(h.expect[p])
 	for {
 		b, ok := h.next()
@@ -220,12 +273,8 @@ func (h *keyedHarness) body(p *Proc) {
 		switch b % 6 {
 		case 0:
 			d := h.at().Sub(h.k.now) + Nanosecond
-			key := packKey(-1, h.k.seq+1)
-			if p.tag >= 0 {
-				key = packKey(p.tag, p.stampCtr+1)
-			}
-			h.expect[p] = key
-			h.expectAt(h.k.now.Add(d), key)
+			h.expect[p] = h.nextKey(p)
+			h.expectAt(h.k.now.Add(d), h.expect[p])
 			p.Sleep(d)
 			h.fired(h.expect[p])
 		case 1:
@@ -242,6 +291,9 @@ func (h *keyedHarness) body(p *Proc) {
 			stamp := p.NextStamp()
 			e := &fuzzEvent{h: h, key: packKey(p.tag, stamp)}
 			h.k.AtTagged(t, p.tag, stamp, e)
+			if !h.k.keyed {
+				e.key = h.k.seq
+			}
 			h.expectAt(t, e.key)
 		case 4:
 			h.wake(h.at())
@@ -252,7 +304,7 @@ func (h *keyedHarness) body(p *Proc) {
 }
 
 // checkPeek compares PeekTime or PeekKey with the reference minimum.
-func (h *keyedHarness) checkPeek(withKey bool) {
+func (h *queueHarness) checkPeek(withKey bool) {
 	var t Time
 	var key uint64
 	var ok bool
@@ -270,10 +322,14 @@ func (h *keyedHarness) checkPeek(withKey bool) {
 	}
 }
 
-func checkKeyedOrder(data []byte) error {
+// checkQueueOrder runs one fuzz schedule on a keyed or serial kernel.
+func checkQueueOrder(data []byte, keyed bool) error {
 	k := NewKernel()
-	k.Keyed()
-	h := &keyedHarness{k: k, data: data, used: map[uint64]bool{}, expect: map[*Proc]uint64{}}
+	h := &queueHarness{k: k, data: data, offsets: serialOffsets, used: map[uint64]bool{}, expect: map[*Proc]uint64{}}
+	if keyed {
+		k.Keyed()
+		h.offsets = keyedOffsets
+	}
 	defer k.Release()
 	for {
 		b, ok := h.next()
@@ -309,7 +365,8 @@ func checkKeyedOrder(data []byte) error {
 		case 7:
 			h.spawn()
 		case 8:
-			// Open the earliest bucket, then schedule below it.
+			// Open the earliest bucket (anchor the serial queue at the
+			// earliest time), then schedule below it.
 			h.checkPeek(true)
 			if t, ok := k.PeekTime(); ok && t > k.now {
 				h.schedAt(k.now.Add(t.Sub(k.now) / 2))
@@ -368,4 +425,67 @@ func TestKeyedQueueStorageBounded(t *testing.T) {
 		t.Errorf("%d rounds allocated %d B, %d rounds %d B: queue storage grows with events fired (%d extra)",
 			short, a, long, b, extraEvents)
 	}
+}
+
+// TestSerialQueueNoAllocs pins that the serial kernel's queue
+// allocates nothing per event once warm, at depth 1 (a process pair
+// that sleeps and wakes each other) and at about the depth of a
+// sweep-contention job: 700 standing events, each rescheduling itself
+// at a pseudo-random offset. Each case warms the kernel with one
+// window, then requires that a second window, which takes simulated
+// time across more high bits, fires events without a heap allocation.
+func TestSerialQueueNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	window := func(t *testing.T, k *Kernel, span Duration) {
+		t.Helper()
+		if err := k.RunWindow(k.Now().Add(span)); err != nil {
+			t.Fatal(err)
+		}
+		events := k.Events()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := k.RunWindow(k.Now().Add(span * 4))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired := k.Events() - events
+		if fired < 1000 {
+			t.Fatalf("the measured window fired only %d events", fired)
+		}
+		if n := after.Mallocs - before.Mallocs; n > 0 {
+			t.Errorf("%d events allocated %d objects, want none", fired, n)
+		}
+	}
+	t.Run("depth=1", func(t *testing.T) {
+		k := NewKernel()
+		defer k.Release()
+		var ping, pong *Proc
+		ping = k.Spawn("ping", func(p *Proc) {
+			for {
+				p.Sleep(Nanosecond)
+				pong.Wake()
+				p.Block("await pong")
+			}
+		})
+		pong = k.Spawn("pong", func(p *Proc) {
+			for {
+				p.Block("await ping")
+				ping.Wake()
+			}
+		})
+		window(t, k, 2*Microsecond)
+	})
+	t.Run("depth=700", func(t *testing.T) {
+		k := NewKernel()
+		rng := NewRNG(1)
+		var tick func()
+		tick = func() { k.After(Duration(rng.Intn(1000)+1)*Nanosecond, tick) }
+		for i := 0; i < 700; i++ {
+			tick()
+		}
+		window(t, k, 20*Microsecond)
+	})
 }

@@ -1,7 +1,7 @@
 package bgpsim_test
 
-// Golden determinism tests: the event-kernel fast path (4-ary heap,
-// run-queue, closure-free process resumes) must reproduce the seed
+// Golden determinism tests: the event-kernel fast path (monotone radix
+// event queue, closure-free process resumes) must reproduce the seed
 // container/heap kernel bit for bit, and concurrent simulations must
 // not perturb each other. The constants below were captured from the
 // seed kernel before the fast path landed; any drift is a determinism

@@ -22,15 +22,13 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// event is a scheduled handler. Events with equal timestamps fire in
-// schedule order on the serial kernel, which its queue keeps by
-// appending to FIFO buckets, and in canonical-key order on keyed
-// kernels. Either makes runs deterministic. seq is the schedule number
-// on the serial kernel (PeekKey reports it) and the canonical key on
-// keyed kernels.
+// event is a scheduled handler. The queue fires events in (t, key)
+// order, which makes runs deterministic. key is the schedule number on
+// the serial kernel, so events with equal timestamps fire in schedule
+// order, and the canonical (creator tag, stamp) key on keyed kernels.
 type event struct {
 	t   Time
-	seq uint64
+	key uint64
 	h   Handler
 }
 
@@ -47,17 +45,10 @@ type Kernel struct {
 	seq   uint64
 	fired uint64
 
-	// q is the serial kernel's queue: a monotone radix queue whose FIFO
-	// buckets fire same-timestamp events in schedule order (see
-	// radixQueue). Every pending event is at or after q.last, and
-	// q.last is at or after now.
+	// q is the event queue: a monotone radix queue that fires events
+	// in (time, key) order (see radixQueue). Every pending event is at
+	// or after q.last, and q.last is at or after now.
 	q radixQueue
-
-	// kq is the keyed kernels' queue: per-timestamp buckets sorted by
-	// canonical key when they open (see bucketQueue). The serial kernel
-	// sees about three events per timestamp, too few for such buckets
-	// to pay.
-	kq bucketQueue
 
 	procs    []*Proc
 	live     int // spawned processes that have not finished
@@ -76,16 +67,18 @@ type Kernel struct {
 	// is byte-identical at any shard count.
 	uncounted uint64
 
-	// keyed switches same-timestamp ordering from creation order (seq)
-	// to a canonical key derived from the event's creator: the packed
-	// (creator tag, per-creator stamp) pair. Creation order depends on
-	// how ranks are partitioned across shard kernels — a message
-	// delivery scheduled through the inter-shard mailbox gets its seq at
-	// barrier time, not at send time — but each creator's own stamp
-	// sequence is a function of that rank's execution alone, so keyed
-	// ordering is identical at every shard count. Sharded runs enable it
-	// on every shard kernel, whose events then live in kq; the serial
-	// kernel keeps seq order and its seed-pinned outputs.
+	// keyed switches same-timestamp ordering from creation order (the
+	// schedule number) to a canonical key derived from the event's
+	// creator: the packed (creator tag, per-creator stamp) pair.
+	// Creation order depends on how ranks are partitioned across shard
+	// kernels — a message delivery scheduled through the inter-shard
+	// mailbox gets its schedule number at barrier time, not at send
+	// time — but each creator's own stamp sequence is a function of
+	// that rank's execution alone, so keyed ordering is identical at
+	// every shard count. Sharded runs enable it on every shard kernel;
+	// the serial kernel keeps schedule order and its seed-pinned
+	// outputs. keyed chooses only the key (keyFor): both orders share
+	// one queue.
 	keyed bool
 
 	// EventLimit, when nonzero, aborts Run with an error after this
@@ -136,44 +129,37 @@ func packKey(tag int, stamp uint64) uint64 {
 	return uint64(tag+1)<<keyStampBits | (stamp & (1<<keyStampBits - 1))
 }
 
-// keyFor allocates the canonical key for an event created on behalf of
-// process p (nil or untagged creators fall back to the kernel's own
-// counter, which sharded runs never exercise on rank-visible paths).
-func (k *Kernel) keyFor(p *Proc) uint64 {
-	if p != nil && p.tag >= 0 {
-		p.stampCtr++
-		return packKey(p.tag, p.stampCtr)
+// keyFor allocates the ordering key of an event with handler h. On the
+// serial kernel it is the next schedule number. On a keyed kernel a
+// resume is keyed by the resumed process, anything else (and an
+// untagged process) by the kernel's own counter, which sharded runs
+// never exercise on rank-visible paths.
+func (k *Kernel) keyFor(h Handler) uint64 {
+	if k.keyed {
+		if p, ok := h.(*Proc); ok && p.tag >= 0 {
+			p.stampCtr++
+			return packKey(p.tag, p.stampCtr)
+		}
+		k.seq++
+		return packKey(-1, k.seq)
 	}
 	k.seq++
-	return packKey(-1, k.seq)
+	return k.seq
 }
 
 // schedule enqueues handler h at absolute time t. Scheduling in the
 // past panics: it would break causality.
 func (k *Kernel) schedule(t Time, h Handler) {
-	if k.keyed {
-		if t < k.now {
-			k.pastEvent(t)
-		}
-		// A resume is keyed by the resumed process, anything else by the
-		// kernel's own counter. Canonical keys are not monotone in
-		// creation order, so same-timestamp events are ordered when
-		// their bucket opens, not by a FIFO.
-		p, _ := h.(*Proc)
-		k.kq.push(t, k.keyFor(p), h)
-		return
-	}
 	if t < k.q.last {
 		k.before(t)
 	}
-	k.seq++
-	k.q.push(event{t: t, seq: k.seq, h: h})
+	k.q.push(event{t: t, key: k.keyFor(h), h: h})
 }
 
-// before handles a serial schedule earlier than the queue's anchor: it
-// panics if t is in the past, and otherwise re-anchors the queue at t
-// (the anchor runs ahead of the clock only after a peek). Out of line
-// for the same reason as pastEvent.
+// before handles a schedule earlier than the queue's anchor: it panics
+// if t is in the past, and otherwise re-anchors the queue at t (the
+// anchor runs ahead of the clock only after a peek). Out of line for
+// the same reason as pastEvent.
 //
 //go:noinline
 func (k *Kernel) before(t Time) {
@@ -200,10 +186,10 @@ func (k *Kernel) AtTagged(t Time, tag int, stamp uint64, h Handler) {
 		k.schedule(t, h)
 		return
 	}
-	if t < k.now {
-		k.pastEvent(t)
+	if t < k.q.last {
+		k.before(t)
 	}
-	k.kq.push(t, packKey(tag, stamp), h)
+	k.q.push(event{t: t, key: packKey(tag, stamp), h: h})
 }
 
 // pastEvent panics on an event scheduled before now. It is kept out of
@@ -218,7 +204,7 @@ func (k *Kernel) pastEvent(t Time) {
 
 // Keyed switches the kernel to canonical same-timestamp ordering (see
 // the keyed field). It must be called before any event is scheduled:
-// mixing seq-keyed and canonically-keyed events in one queue would
+// mixing schedule numbers and canonical keys in one queue would
 // interleave them arbitrarily.
 func (k *Kernel) Keyed() {
 	if k.fired > 0 || k.seq > 0 {
@@ -332,9 +318,6 @@ func (k *Kernel) Live() int { return k.live }
 // next dequeues the globally minimal pending event. The second result
 // is false when no event is pending.
 func (k *Kernel) next() (event, bool) {
-	if k.keyed {
-		return k.kq.pop()
-	}
 	return k.q.pop()
 }
 
@@ -392,13 +375,10 @@ func (k *Kernel) Release() {
 
 // PeekTime returns the timestamp of the earliest pending event without
 // dequeuing it. The second result is false when no event is pending.
-// On the serial kernel it may refill the queue's lowest bucket, which
-// moves the queue's anchor to that time; a later schedule before it
-// re-anchors the queue.
+// It may refill the queue's lowest bucket, which moves the queue's
+// anchor to that time (and on a keyed kernel may sort that bucket); a
+// later schedule before it re-anchors the queue.
 func (k *Kernel) PeekTime() (Time, bool) {
-	if k.keyed {
-		return k.kq.peekTime()
-	}
 	e, ok := k.q.peek()
 	if !ok {
 		return 0, false
@@ -411,18 +391,14 @@ func (k *Kernel) PeekTime() (Time, bool) {
 // kernel, the schedule number on the serial one. The sharded
 // coordinator compares (time, key) across shard kernels to pick the
 // globally canonical next event when every shard is gated. The third
-// result is false when no event is pending. On a keyed kernel it may
-// open the earliest timestamp bucket, which sorts that bucket once; an
-// event scheduled afterwards for an earlier time puts the bucket back.
+// result is false when no event is pending. Like PeekTime, it may
+// refill the queue's lowest bucket.
 func (k *Kernel) PeekKey() (Time, uint64, bool) {
-	if k.keyed {
-		return k.kq.peekKey()
-	}
 	e, ok := k.q.peek()
 	if !ok {
 		return 0, 0, false
 	}
-	return e.t, e.seq, true
+	return e.t, e.key, true
 }
 
 // fire executes one dequeued event and applies the abort and

@@ -207,18 +207,19 @@ func TestRunTwiceAfterSuccess(t *testing.T) {
 	}
 }
 
-// TestRunQueueHeapInterleaving pins FIFO-within-timestamp across the
-// two queues of the fast path: events scheduled *before* time T lands
-// sit in the heap; events scheduled at T while the clock is at T take
-// the run-queue. Both kinds at the same timestamp must still fire in
-// schedule (seq) order.
-func TestRunQueueHeapInterleaving(t *testing.T) {
+// TestFIFOWithinTimestampAcrossRefill pins FIFO order within a
+// timestamp across a refill: A and B are scheduled before the clock
+// reaches 10 and reach the queue's bucket 0 when a refill anchors it
+// there; C, D and E are scheduled at 10 while the clock is at 10 and
+// are appended to bucket 0 behind them. All five must fire in schedule
+// order.
+func TestFIFOWithinTimestampAcrossRefill(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.At(Time(10), func() {
 		order = append(order, "A")
-		// now == 10: these land on the run queue, behind the heap
-		// event B also at t=10 but scheduled earlier.
+		// now == 10: these land in bucket 0 behind B, also at t=10
+		// but scheduled earlier.
 		k.At(Time(10), func() {
 			order = append(order, "C")
 			k.At(Time(10), func() { order = append(order, "E") })
@@ -238,7 +239,7 @@ func TestRunQueueHeapInterleaving(t *testing.T) {
 }
 
 // TestWakeFIFOAcrossProcs: wakes issued at one timestamp resume
-// processes in wake order, exercising the run-queue resume path.
+// processes in wake order, exercising the at-now resume path.
 func TestWakeFIFOAcrossProcs(t *testing.T) {
 	k := NewKernel()
 	var order []int

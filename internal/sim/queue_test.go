@@ -4,37 +4,64 @@ import (
 	"container/heap"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // FuzzKeyedQueueOrder drives a keyed kernel with a random schedule and
 // checks every fired event against a reference (time, key) heap kept
-// by the test: the bucket queue must fire exactly the minimum pending
-// pair each time. The schedule mixes At, AtTagged under arbitrary and
+// by the test: the queue must fire exactly the minimum pending pair
+// each time. The schedule mixes At, AtTagged under arbitrary and
 // process-drawn stamps, at-now and future times, and processes that
 // Spawn, Sleep, Block and Wake one another. Between events the test
 // interleaves PeekTime, PeekKey, RunWindow (whose events may lower the
 // bound with LimitWindow) and StepOne, and schedules from outside,
-// including before a bucket that a PeekKey has already opened.
+// including before a time that a peek has already refilled the
+// queue's lowest bucket at. Its times are a few nanoseconds apart, so
+// many events share each timestamp.
 func FuzzKeyedQueueOrder(f *testing.F) {
-	// Hand-written seeds: lockstep sleepers, late arrivals at the open
-	// time, and a schedule below a peeked bucket.
+	// Hand-written seeds: lockstep sleepers, late arrivals at the
+	// current time, and a schedule below a peeked time.
 	f.Add([]byte{7, 7, 7, 7, 4, 20, 4, 20, 5, 5, 3, 2})
 	f.Add([]byte{0, 3, 0, 3, 1, 3, 8, 0, 3, 1, 3, 0, 0, 0, 4, 40, 5, 2, 3})
 	f.Add([]byte{7, 2, 0, 7, 6, 3, 1, 6, 3, 5, 8, 1, 4, 3, 6, 0, 0, 4, 60})
 	addRandomSeeds(f, 22)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkQueueOrder(data, true); err != nil {
+		if err := checkQueueOrder(data, true, keyedOffsets); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzKeyedWideQueueOrder is FuzzKeyedQueueOrder with the serial
+// fuzzer's times, which spread over many bits: keyed events cross the
+// queue's buckets, so refills sort buckets that gathered events from
+// several higher ones, and schedules after a peek re-anchor the queue
+// while late arrivals are pending.
+func FuzzKeyedWideQueueOrder(f *testing.F) {
+	// Hand-written seeds: four processes whose at-now wakes take the
+	// late heap, and 100 AtTagged events at 1 ns under scrambled
+	// stamps, which the refill that reaches them sorts across two
+	// chunks.
+	f.Add([]byte{7, 7, 7, 7, 6, 0, 4, 5, 0, 0, 5, 0, 3, 8, 2, 8, 3, 5, 5})
+	var wide []byte
+	for i := 0; i < 100; i++ {
+		wide = append(wide, 1, 3, byte(i*37), byte(i*11))
+	}
+	f.Add(append(wide, 5, 5, 5))
+	addRandomSeeds(f, 26)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkQueueOrder(data, true, serialOffsets); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 // FuzzSerialQueueOrder is FuzzKeyedQueueOrder for the serial kernel:
-// the radix queue must fire the minimum pending (time, schedule
-// number) each time. Its times spread over many bits, so events cross
-// the queue's buckets, and a schedule after a peek can fall before the
-// time the peek anchored the queue at.
+// the queue must fire the minimum pending (time, schedule number) each
+// time. Its times spread over many bits, so events cross the queue's
+// buckets, and a schedule after a peek can fall before the time the
+// peek anchored the queue at.
 func FuzzSerialQueueOrder(f *testing.F) {
 	// Hand-written seeds: same-time ping-pong between processes, sleeps
 	// across high bits, and schedules below a peeked time.
@@ -43,7 +70,7 @@ func FuzzSerialQueueOrder(f *testing.F) {
 	f.Add([]byte{7, 0, 6, 0, 7, 0, 7, 8, 8, 8, 2, 3, 4, 6, 0, 0, 5, 5, 5, 5})
 	addRandomSeeds(f, 24)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkQueueOrder(data, false); err != nil {
+		if err := checkQueueOrder(data, false, serialOffsets); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -148,9 +175,9 @@ func (h *queueHarness) failf(format string, args ...any) {
 	}
 }
 
-// Schedule offsets. The keyed kernels' are small, so that many events
-// share each timestamp; the serial kernel's also span many bits, so
-// that events land in many of its queue's buckets.
+// Schedule offsets. keyedOffsets are small, so that many events share
+// each timestamp; serialOffsets also span many bits, so that events
+// land in many of the queue's buckets.
 var (
 	keyedOffsets  = []Duration{0, 0, 1 * Nanosecond, 1 * Nanosecond, 2 * Nanosecond, 3 * Nanosecond, 5 * Nanosecond, 8 * Nanosecond}
 	serialOffsets = []Duration{0, 0, 1, 1 * Nanosecond, 3 * Nanosecond, 4096, Microsecond, Millisecond}
@@ -322,13 +349,13 @@ func (h *queueHarness) checkPeek(withKey bool) {
 	}
 }
 
-// checkQueueOrder runs one fuzz schedule on a keyed or serial kernel.
-func checkQueueOrder(data []byte, keyed bool) error {
+// checkQueueOrder runs one fuzz schedule on a keyed or serial kernel,
+// drawing schedule offsets from offsets.
+func checkQueueOrder(data []byte, keyed bool, offsets []Duration) error {
 	k := NewKernel()
-	h := &queueHarness{k: k, data: data, offsets: serialOffsets, used: map[uint64]bool{}, expect: map[*Proc]uint64{}}
+	h := &queueHarness{k: k, data: data, offsets: offsets, used: map[uint64]bool{}, expect: map[*Proc]uint64{}}
 	if keyed {
 		k.Keyed()
-		h.offsets = keyedOffsets
 	}
 	defer k.Release()
 	for {
@@ -365,8 +392,8 @@ func checkQueueOrder(data []byte, keyed bool) error {
 		case 7:
 			h.spawn()
 		case 8:
-			// Open the earliest bucket (anchor the serial queue at the
-			// earliest time), then schedule below it.
+			// Anchor the queue at the earliest time, then schedule
+			// below it.
 			h.checkPeek(true)
 			if t, ok := k.PeekTime(); ok && t > k.now {
 				h.schedAt(k.now.Add(t.Sub(k.now) / 2))
@@ -427,37 +454,56 @@ func TestKeyedQueueStorageBounded(t *testing.T) {
 	}
 }
 
-// TestSerialQueueNoAllocs pins that the serial kernel's queue
-// allocates nothing per event once warm, at depth 1 (a process pair
+// TestQueueNoAllocs pins that the queue allocates nothing per event
+// once warm. On the serial kernel it runs at depth 1 (a process pair
 // that sleeps and wakes each other) and at about the depth of a
 // sweep-contention job: 700 standing events, each rescheduling itself
-// at a pseudo-random offset. Each case warms the kernel with one
-// window, then requires that a second window, which takes simulated
-// time across more high bits, fires events without a heap allocation.
-func TestSerialQueueNoAllocs(t *testing.T) {
+// at a pseudo-random offset. On a keyed kernel it runs 512 tagged
+// processes in lockstep, half of them woken at the current time by
+// their higher-tagged partner: those wakes arrive behind the sorted
+// bucket of the time being fired, so they take the late heap, and the
+// next refill finds its bucket out of order and sorts it. Each case
+// warms the kernel with one window, then requires that a later window,
+// which takes simulated time across more high bits, fires events
+// without a heap allocation.
+func TestQueueNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	// Mallocs counts the whole process, and the runtime's own
+	// goroutines now and then allocate during a window (the scavenger
+	// growing its timer heap, seen in a memory profile), so a case
+	// passes when one of three successive windows allocates nothing. A
+	// queue that allocates per event, or whenever simulated time
+	// crosses a new high bit, allocates in every window: each fires
+	// over 1,000 events across later times than the one before.
 	window := func(t *testing.T, k *Kernel, span Duration) {
 		t.Helper()
 		if err := k.RunWindow(k.Now().Add(span)); err != nil {
 			t.Fatal(err)
 		}
-		events := k.Events()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := k.RunWindow(k.Now().Add(span * 4))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		var got []string
+		for try := 0; try < 3; try++ {
+			events := k.Events()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := k.RunWindow(k.Now().Add(span * 4))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired := k.Events() - events
+			if fired < 1000 {
+				t.Fatalf("the measured window fired only %d events", fired)
+			}
+			n := after.Mallocs - before.Mallocs
+			if n == 0 {
+				return
+			}
+			got = append(got, fmt.Sprintf("%d events allocated %d objects", fired, n))
+			span *= 4
 		}
-		fired := k.Events() - events
-		if fired < 1000 {
-			t.Fatalf("the measured window fired only %d events", fired)
-		}
-		if n := after.Mallocs - before.Mallocs; n > 0 {
-			t.Errorf("%d events allocated %d objects, want none", fired, n)
-		}
+		t.Errorf("%s; want a window with none", strings.Join(got, ", "))
 	}
 	t.Run("depth=1", func(t *testing.T) {
 		k := NewKernel()
@@ -487,5 +533,29 @@ func TestSerialQueueNoAllocs(t *testing.T) {
 			tick()
 		}
 		window(t, k, 20*Microsecond)
+	})
+	t.Run("keyed-lockstep", func(t *testing.T) {
+		const procs = 512
+		k := NewKernel()
+		k.Keyed()
+		defer k.Release()
+		var ps [procs]*Proc
+		for i := range ps {
+			ps[i] = k.SpawnTagged("lockstep", i, func(p *Proc) {
+				for {
+					p.Sleep(Nanosecond)
+					if i%2 == 0 {
+						p.Block("await partner")
+					} else {
+						ps[i-1].Wake()
+					}
+				}
+			})
+		}
+		window(t, k, 4*Nanosecond)
+		if cap(k.q.late) == 0 || cap(k.q.buf) == 0 {
+			t.Errorf("late heap capacity %d, sort buffer capacity %d: the run took no late arrival or sorted no bucket spanning chunks",
+				cap(k.q.late), cap(k.q.buf))
+		}
 	})
 }

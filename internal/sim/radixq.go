@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
+	"sort"
 )
 
 // radixQueue is the kernel's event queue. It fires events in (time,
@@ -28,9 +27,9 @@ import (
 //
 // Bucket 0 is kept in key order from its head:
 //
-//   - a refill sorts it when it is not already in order. Serial keys
-//     grow with every push and buckets keep push order, so on the
-//     serial kernel the check always finds bucket 0 sorted;
+//   - a refill sorts it in place when it is not already in order.
+//     Serial keys grow with every push and buckets keep push order, so
+//     on the serial kernel the check always finds bucket 0 sorted;
 //   - an event pushed at last with a key below bucket 0's tail (on a
 //     keyed kernel, a wake at the current time for a lower-ranked
 //     creator) goes into late, a small heap on key, which pop and peek
@@ -47,8 +46,8 @@ type radixQueue struct {
 	b    [64]chunkList
 	free *radixChunk // pooled empty chunks
 
-	late []event // binary min-heap on key, all at last
-	buf  []event // scratch for sorting bucket 0
+	late []event      // binary min-heap on key, all at last
+	sort bucketSorter // sorts bucket 0 (see sortBucket0)
 }
 
 // chunkList is a bucket: a FIFO list of chunks. Every chunk but the
@@ -193,23 +192,35 @@ func (q *radixQueue) sortHead() {
 	}
 }
 
-// sortBucket0 sorts bucket 0 by key, through buf.
+// sortBucket0 sorts bucket 0 by key in place, so that the queue keeps
+// no copy of the largest bucket it has sorted: the sorter indexes the
+// bucket through a list of its chunks.
 func (q *radixQueue) sortBucket0() {
 	l := &q.b[0]
-	buf := q.buf[:0]
+	s := &q.sort
+	s.chunks, s.n = s.chunks[:0], 0
 	for c := l.head; c != nil; c = c.next {
-		buf = append(buf, l.events(c)...)
+		s.chunks = append(s.chunks, c)
+		s.n += len(l.events(c))
 	}
-	slices.SortFunc(buf, byKey)
-	rest := buf
-	for c := l.head; c != nil; c = c.next {
-		rest = rest[copy(l.events(c), rest):]
-	}
-	clear(buf)
-	q.buf = buf[:0]
+	sort.Sort(s)
+	clear(s.chunks)
 }
 
-func byKey(a, b event) int { return cmp.Compare(a.key, b.key) }
+// bucketSorter is a sort.Interface over the events of a bucket whose
+// head chunk starts at its first event.
+type bucketSorter struct {
+	chunks []*radixChunk
+	n      int
+}
+
+func (s *bucketSorter) at(i int) *event {
+	return &s.chunks[i/radixChunkEvents].ev[i%radixChunkEvents]
+}
+
+func (s *bucketSorter) Len() int           { return s.n }
+func (s *bucketSorter) Less(i, j int) bool { return s.at(i).key < s.at(j).key }
+func (s *bucketSorter) Swap(i, j int)      { a, b := s.at(i), s.at(j); *a, *b = *b, *a }
 
 // lateFirst reports whether late holds the earliest pending event:
 // its minimum precedes bucket 0's head, or bucket 0 is empty.

@@ -335,10 +335,10 @@ func alltoallTime(m *machine.Machine, mode machine.Mode, ranks int, bytesPerPair
 }
 
 // CollBytes is the payload of the collective micro-benchmarks in
-// CollBench: the broadcast and allreduce buffer size in bytes.
+// CollBenchFaultySharded: the broadcast and allreduce buffer size in bytes.
 const CollBytes = 8192
 
-// collIters is the timed repetitions per collective in CollBench.
+// collIters is the timed repetitions per collective in CollBenchFaultySharded.
 const collIters = 4
 
 // CollResults reports the simulated collective micro-benchmarks and
@@ -353,35 +353,20 @@ type CollResults struct {
 	AllreduceAlgo string
 }
 
-// CollBench times barrier, broadcast and allreduce (CollBytes payload,
-// double-precision operands) on the simulated partition in VN mode.
-// A non-nil coll map forces algorithms per op (see mpi.ParseCollSpec);
-// an override ineligible for the world communicator falls back to the
-// machine's selection table, and the reported algorithm names reflect
-// what actually ran.
-func CollBench(id machine.ID, ranks int, coll map[string]string) (*CollResults, error) {
-	cr, _, err := CollBenchObserved(id, ranks, coll, nil)
-	return cr, err
-}
-
-// CollBenchObserved is CollBench with an optional observability probe
-// attached to the run (nil for none); it also returns the raw
-// simulation result so callers can read the probe's views back.
-func CollBenchObserved(id machine.ID, ranks int, coll map[string]string, pb obs.Probe) (*CollResults, *mpi.Result, error) {
-	return CollBenchFaulty(id, ranks, coll, nil, pb)
-}
-
-// CollBenchFaulty is CollBenchObserved with a deterministic fault plan
-// injected into the partition: link faults perturb the collectives,
-// node kills abort the run with *mpi.RankFailure — or, with recovery
-// enabled, drop the dead ranks and charge the rebuild to the timings.
-func CollBenchFaulty(id machine.ID, ranks int, coll map[string]string, plan *fault.Plan, pb obs.Probe) (*CollResults, *mpi.Result, error) {
-	return CollBenchFaultySharded(id, ranks, coll, plan, pb, 0)
-}
-
-// CollBenchFaultySharded is CollBenchFaulty with an explicit
-// kernel-shard request (see SingleAndEPSharded for why the request is
-// a parameter and what it currently does).
+// CollBenchFaultySharded times barrier, broadcast and allreduce
+// (CollBytes payload, double-precision operands) on the simulated
+// partition in VN mode. A non-nil coll map forces algorithms per op
+// (see mpi.ParseCollSpec); an override ineligible for the world
+// communicator falls back to the machine's selection table, and the
+// reported algorithm names reflect what actually ran. pb is an
+// optional observability probe (nil for none); the raw simulation
+// result is returned so callers can read the probe's views back. A
+// deterministic fault plan (nil for none) is injected into the
+// partition: link faults perturb the collectives, node kills abort the
+// run with *mpi.RankFailure — or, with recovery enabled, drop the dead
+// ranks and charge the rebuild to the timings. shards is the
+// kernel-shard request (see SingleAndEPSharded for why it is a
+// parameter and what it currently does).
 func CollBenchFaultySharded(id machine.ID, ranks int, coll map[string]string, plan *fault.Plan, pb obs.Probe, shards int) (*CollResults, *mpi.Result, error) {
 	m := machine.Get(id)
 	cfg := core.PartitionConfig(id, machine.VN, ranks)

@@ -24,12 +24,6 @@ func StreamTriad(a, b, c []float64, scalar float64) {
 	}
 }
 
-// PTRANSBytes returns the memory traffic of A = A^T + beta*A for an
-// n x n matrix: read and write of both operands.
-func PTRANSBytes(n int) float64 {
-	return 3 * 8 * float64(n) * float64(n)
-}
-
 // Transpose writes the transpose of a into dst (both n x m / m x n),
 // with cache blocking.
 func Transpose(dst, a *Matrix) {

@@ -24,20 +24,6 @@ type CollRule struct {
 	Algo     string // algorithm name, e.g. "binomial", "ring", "tree-offload"
 }
 
-// Matches reports whether the rule covers a call of the given shape.
-func (r CollRule) Matches(bytes, procs int) bool {
-	if r.MaxBytes > 0 && bytes > r.MaxBytes {
-		return false
-	}
-	if r.MinProcs > 0 && procs < r.MinProcs {
-		return false
-	}
-	if r.MaxProcs > 0 && procs > r.MaxProcs {
-		return false
-	}
-	return true
-}
-
 // CollTable maps a collective op name to its selection rules, walked
 // in order.
 type CollTable map[string][]CollRule

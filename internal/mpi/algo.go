@@ -57,10 +57,6 @@ type CollAlgo struct {
 	full string // "op/name", set at registration
 }
 
-// FullName returns the "op/name" identifier carried by trace events
-// and per-algorithm traffic counters.
-func (al *CollAlgo) FullName() string { return al.full }
-
 func (al *CollAlgo) eligible(m *machine.Machine, world bool, procs int, a CollArgs) bool {
 	return al.Eligible == nil || al.Eligible(m, world, procs, a)
 }

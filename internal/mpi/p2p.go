@@ -9,16 +9,18 @@ import (
 // message is an in-flight transfer. For eager sends it represents the
 // data itself; for rendezvous sends it is the ready-to-send header and
 // the data transfer starts when the receiver matches it. The message
-// embeds the sender's request and is its own event handler (Fire), so
-// a send makes one allocation, in the send's entry frame (isendFrac);
-// nothing deeper allocates (see "rank stack budget" in
-// docs/PERFORMANCE.md).
+// embeds the sender's request and is its own event handler (Fire).
+// Isend, Send and the payload sends allocate it in the send's entry
+// frame; Sendrecv, persistent sends and the software collectives'
+// rounds take it from a recycled exchange record. Nothing deeper
+// allocates (see "rank stack budget" in docs/PERFORMANCE.md).
 type message struct {
 	req     Request // the sender's request: sender, dst, tag, key, protocol
 	bytes   int
 	payload interface{}
-	sentAt  sim.Time // send time, for probe match edges (probe runs only)
-	recv    *Request // the matched receive, once a rendezvous header is matched
+	sentAt  sim.Time  // send time, for probe match edges (probe runs only)
+	recv    *Request  // the matched receive, once a rendezvous header is matched
+	x       *exchange // the recycled record holding the message, which its receiver releases; nil if none
 }
 
 // Request is a handle for a non-blocking operation. Ranks and tags are
@@ -63,7 +65,7 @@ func (r *Rank) swOverhead() sim.Duration {
 // the send buffer is reusable: immediately after local processing for
 // eager messages, after the full transfer for rendezvous messages.
 func (r *Rank) Send(dst, bytes, tag int) {
-	r.waitNoOverhead(r.isendFrac(dst, bytes, tag, 1))
+	r.waitNoOverhead(r.Isend(dst, bytes, tag))
 }
 
 // SendPayload is Send carrying an arbitrary value, used by tests and
@@ -73,32 +75,22 @@ func (r *Rank) SendPayload(dst, bytes, tag int, payload interface{}) {
 }
 
 func (r *Rank) sendPayload(dst, bytes, tag int, key collKey, payload interface{}) {
-	req := r.isendPayload(dst, bytes, tag, key, payload)
-	r.waitNoOverhead(req)
+	r.waitNoOverhead(r.isendPayload(dst, bytes, tag, key, payload))
 }
 
-// Isend starts a non-blocking send and returns its request. Its body
-// is isendFrac's, spelled out so that it, too, inlines into the caller.
+// Isend starts a non-blocking send and returns its request. It
+// allocates the message, which embeds the send's request, and is small
+// enough to inline, so the allocation happens in the caller's frame,
+// the shallowest point of the send (see "rank stack budget" in
+// docs/PERFORMANCE.md).
 func (r *Rank) Isend(dst, bytes, tag int) *Request {
 	m := &message{bytes: bytes}
 	r.isend(m, dst, tag, 1)
 	return &m.req
 }
 
-// isendFrac starts a plain point-to-point send with a scaled
-// sender-side software cost (persistent channels pay a reduced
-// overhead). It allocates the message, which embeds the send's
-// request, and is small enough to inline, so the allocation happens in
-// the calling entry point's frame, the shallowest point of the send
-// (see "rank stack budget" in docs/PERFORMANCE.md).
-func (r *Rank) isendFrac(dst, bytes, tag int, overheadFrac float64) *Request {
-	m := &message{bytes: bytes}
-	r.isend(m, dst, tag, overheadFrac)
-	return &m.req
-}
-
-// isendPayload is isendFrac at the full software cost for collective
-// traffic (key set) and payload-carrying sends.
+// isendPayload is Isend for collective traffic (key set) and
+// payload-carrying sends.
 func (r *Rank) isendPayload(dst, bytes, tag int, key collKey, payload interface{}) *Request {
 	m := &message{bytes: bytes, payload: payload}
 	m.req.key = key
@@ -174,9 +166,13 @@ func (r *Rank) dispatch(m *message) {
 // mailFire queues a message's delivery for another shard's kernel. It
 // is kept out of line so its argument spill stays off the frames of
 // dispatch and rendezvous (rank stack budget, docs/PERFORMANCE.md).
+// The message's record, if any, is never recycled: the other kernel's
+// goroutine reaches the message (delivery, sendDone), so the receiver
+// does not release it and the owner's release alone never frees it.
 //
 //go:noinline
 func mailFire(r, dst *Rank, t sim.Time, stamp uint64, m *message) {
+	m.x = nil
 	r.sh.mail(xmail{t: t, src: r.id, stamp: stamp, dst: dst.sh, h: m})
 }
 
@@ -230,7 +226,7 @@ func (m *message) completeSend() {
 
 // badSend, badTag, failSend, collTraffic and logSent keep the send's
 // cold branches — the fmt panics, the link-failure error, the
-// per-algorithm traffic map and the sender log — off the isendFrac and
+// per-algorithm traffic map and the sender log — off the isend and
 // dispatch frames, which sit on every rank coroutine's deepest path and
 // must fit the rank stack budget (docs/PERFORMANCE.md).
 //
@@ -291,16 +287,22 @@ func logSent(r *Rank, m *message, stamp uint64) {
 // Recv blocks until a message matching (src, tag) arrives and returns
 // its size. Use AnySource and AnyTag as wildcards.
 func (r *Rank) Recv(src, tag int) int {
-	req := r.Irecv(src, tag)
-	r.Wait(req)
-	return req.msg.bytes
+	x := r.takeExchange(false)
+	r.post(&x.q, src, tag)
+	r.Wait(&x.q)
+	n := x.q.msg.bytes
+	r.retire(x)
+	return n
 }
 
 // RecvPayload is Recv returning the carried payload as well.
 func (r *Rank) RecvPayload(src, tag int) (int, interface{}) {
-	req := r.Irecv(src, tag)
-	r.Wait(req)
-	return req.msg.bytes, req.msg.payload
+	x := r.takeExchange(false)
+	r.post(&x.q, src, tag)
+	r.Wait(&x.q)
+	n, v := x.q.msg.bytes, x.q.msg.payload
+	r.retire(x)
+	return n, v
 }
 
 // Irecv posts a non-blocking receive for (src, tag). It allocates the
@@ -490,28 +492,120 @@ func (r *Rank) Waitall(qs ...*Request) {
 	}
 }
 
-// exchange is a combined send and receive in one allocation: the
-// outgoing message, which embeds the send's request, and the receive's
-// request (Sendrecv, and every round of a software collective).
+// exchange is a message record: an outgoing message, which embeds the
+// send's request, and a receive's request, in one allocation. The
+// blocking calls whose requests never reach user code — Sendrecv,
+// Recv, RecvPayload, persistent rounds and the software collectives'
+// sendColl, recvColl and sendrecvColl — take their record from the
+// free list of the rank's kernel (takeExchange) and give it back
+// (retire). Send and SendPayload allocate a bare message instead:
+// their receivers often post requests that are not recycled (a user
+// Irecv in the HALO irecvsend exchange, GatherPayload's root), so the
+// sender's record would never be either, and a 160 B record costs
+// more than the 96 B message.
+//
+// The record's lifetime: it is released by its owner once the owner's
+// send wait and receive wait have returned, and by the receiver of its
+// message once that receive has returned and the receiver has read
+// the byte count or payload. Each party releases from its own process
+// context; the last release zeroes the record and pushes it on the
+// list. A record is never recycled when its message crosses kernels
+// (mailFire), when its message's receiver holds a request user code
+// can reach (Irecv), or when a rank unwinds before releasing (a kill,
+// a lost peer, Kernel.Release): the garbage collector frees it then,
+// so a missed release only costs an allocation, never an early reuse.
 type exchange struct {
-	m message
-	q Request
+	m    message
+	q    Request
+	refs int32     // releases outstanding: the owner's, and the receiver's of m
+	next *exchange // free-list link
+}
+
+// xpool is a kernel's free list of exchange records: the serial
+// kernel's lives on World, each shard kernel's on its shard, so only
+// one goroutine touches a list and it needs no lock.
+type xpool struct {
+	free *exchange
+}
+
+// exchangeNoReuse leaves released records to the garbage collector
+// instead of recycling them. It exists only for the use-after-release
+// guard in the tests: a run with reuse off must equal the same run
+// with reuse on byte for byte.
+var exchangeNoReuse = false
+
+// pool returns the free list of the rank's kernel.
+func (r *Rank) pool() *xpool {
+	if r.sh != nil {
+		return &r.sh.xp
+	}
+	return &r.w.xp
+}
+
+// takeExchange returns a record owned by the rank, with its receive's
+// request ready to post. A record whose message will be sent also
+// awaits its receiver's release. Like retire, it stays out of line so
+// the pool operations stay off the send and receive frames (rank stack
+// budget, docs/PERFORMANCE.md).
+//
+//go:noinline
+func (r *Rank) takeExchange(send bool) *exchange {
+	p := r.pool()
+	x := p.free
+	if x == nil {
+		x = new(exchange)
+	} else {
+		p.free, x.next = x.next, nil
+	}
+	x.q.r, x.q.isRecv, x.refs = r, true, 1
+	if send {
+		x.m.x, x.refs = x, 2
+	}
+	return x
+}
+
+// retire ends a blocking call's use of its record x, after the call's
+// waits have returned and it has read what it received: it releases
+// the record of the message its receive matched, when that record is
+// recycled, and then x.
+//
+//go:noinline
+func (r *Rank) retire(x *exchange) {
+	p := r.pool()
+	if m := x.q.msg; m != nil && m.x != nil {
+		p.release(m.x)
+	}
+	p.release(x)
+}
+
+// release drops one of x's outstanding releases; the last one zeroes x
+// and pushes it on the list.
+func (p *xpool) release(x *exchange) {
+	x.refs--
+	if x.refs != 0 || exchangeNoReuse {
+		return
+	}
+	*x = exchange{}
+	x.next, p.free = p.free, x
 }
 
 // Sendrecv performs a combined send and receive (the halo-exchange
 // staple) and returns the received byte count. The send and the
-// receive share one allocation (exchange), made in this entry frame.
+// receive share one recycled record (exchange).
 func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
-	x := &exchange{m: message{bytes: sendBytes}, q: Request{r: r, isRecv: true}}
+	x := r.takeExchange(true)
+	x.m.bytes = sendBytes
 	r.isend(&x.m, dst, sendTag, 1)
 	r.post(&x.q, src, recvTag)
 	r.Wait(&x.q)
 	r.waitNoOverhead(&x.m.req)
-	return x.q.msg.bytes
+	n := x.q.msg.bytes
+	r.retire(x)
+	return n
 }
 
 // probeSend, probeRecvPost, and probeMatch keep the probe's
-// interface-call spill slots off the isendFrac/irecv/matched frames,
+// interface-call spill slots off the isend/post/matched frames,
 // which sit on every rank coroutine's deepest communication path (same
 // discipline as probeColl).
 //
@@ -533,18 +627,27 @@ func probeMatch(r *Rank, m *message) {
 // sendColl, recvColl and sendrecvColl are the collective-internal
 // variants, keyed so collective traffic can never match user receives.
 func (r *Rank) sendColl(dst, bytes int, key collKey) {
-	r.waitNoOverhead(r.isendPayload(dst, bytes, 0, key, nil))
+	x := r.takeExchange(true)
+	x.m.bytes, x.m.req.key = bytes, key
+	r.isend(&x.m, dst, 0, 1)
+	r.waitNoOverhead(&x.m.req)
+	r.retire(x)
 }
 
 func (r *Rank) recvColl(src int, key collKey) {
-	q := r.irecvColl(src, key)
-	r.Wait(q)
+	x := r.takeExchange(false)
+	x.q.key = key
+	r.post(&x.q, src, AnyTag)
+	r.Wait(&x.q)
+	r.retire(x)
 }
 
 func (r *Rank) sendrecvColl(dst, bytes, src int, key collKey) {
-	x := &exchange{m: message{req: Request{key: key}, bytes: bytes}, q: Request{r: r, isRecv: true, key: key}}
+	x := r.takeExchange(true)
+	x.m.bytes, x.m.req.key, x.q.key = bytes, key, key
 	r.isend(&x.m, dst, 0, 1)
 	r.post(&x.q, src, AnyTag)
 	r.Wait(&x.q)
 	r.waitNoOverhead(&x.m.req)
+	r.retire(x)
 }

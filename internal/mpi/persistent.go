@@ -17,7 +17,7 @@ type PersistentRequest struct {
 	peer   int
 	bytes  int
 	tag    int
-	active *Request
+	active *exchange // the active round's record
 }
 
 // persistentOverheadFrac is the fraction of the normal per-message
@@ -52,25 +52,33 @@ func (p *PersistentRequest) Start() {
 	if p.active != nil {
 		panic("mpi: persistent request started while active")
 	}
+	r := p.r
+	x := r.takeExchange(!p.isRecv)
+	p.active = x
 	if p.isRecv {
-		p.active = p.r.Irecv(p.peer, p.tag)
+		r.post(&x.q, p.peer, p.tag)
 		return
 	}
-	p.active = p.r.isendFrac(p.peer, p.bytes, p.tag, persistentOverheadFrac)
+	x.m.bytes = p.bytes
+	r.isend(&x.m, p.peer, p.tag, persistentOverheadFrac)
 }
 
 // Wait completes the active round. Persistent receives pay the reduced
 // receive-side software cost.
 func (p *PersistentRequest) Wait() {
-	if p.active == nil {
+	x := p.active
+	if x == nil {
 		panic("mpi: persistent request waited while inactive")
 	}
 	r := p.r
-	r.waitNoOverhead(p.active)
 	if p.isRecv {
+		r.waitNoOverhead(&x.q)
 		r.proc.Sleep(sim.Duration(float64(r.swOverhead()) * persistentOverheadFrac))
+	} else {
+		r.waitNoOverhead(&x.m.req)
 	}
 	p.active = nil
+	r.retire(x)
 }
 
 // StartAll starts every request.

@@ -63,12 +63,26 @@ func (o fuzzOp) wild() bool {
 const (
 	fzExchange   = iota // Sendrecv along a random permutation
 	fzAnySource         // every rank sends to the root, which receives from AnySource
-	fzIsendRing         // Isend/Irecv ring of either direction, then Waitall
+	fzIsendRing         // a ring of either direction, in the program's ring style
 	fzCollective        // one world collective
 	fzSplit             // Split, then a collective on the sub-communicator (and a payload allreduce)
 	fzPayload           // a payload collective, folded into the rank's value
 	fzCompute           // rank-skewed compute
 	numFuzzKinds
+)
+
+// Ring styles: how a program's ring phases communicate.
+const (
+	ringIsend      = iota // Irecv and Isend, then Waitall
+	ringPersistent        // RecvInit and SendInit channels, two rounds of StartAll and WaitAllPersistent
+	ringToken             // a blocking token pass with SendPayload and RecvPayload
+	numRingStyles
+
+	// ringMarker, read right after the pauses, announces a ring style
+	// byte. Inputs written before ring styles existed end at their
+	// pauses or go on with other bytes (mutated seeds), so they all
+	// keep their Isend rings.
+	ringMarker = 0xa5
 )
 
 // fuzzSizes mixes eager messages and rendezvous ones (BG/P's eager
@@ -77,11 +91,12 @@ var fuzzSizes = []int{0, 8, 1024, 1201, 8192, 65536}
 
 // decodeProgram turns a fuzz input into a node count (BG/P SMP, one
 // rank per node), collective overrides forcing software algorithms,
-// a phase list, and 1-3 pause points, each in 128ths of the run's
-// elapsed time (1-255, so some pauses fall past the end). The pauses
-// are read after the program, so an input decodes to the same program
-// whatever follows it.
-func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp, pauses []int) {
+// a phase list, 1-3 pause points, each in 128ths of the run's elapsed
+// time (1-255, so some pauses fall past the end), and the ring style.
+// The pauses are read after the program, so an input decodes to the
+// same program whatever pauses follow it; the ring style is read last,
+// after ringMarker, and is ringIsend without it.
+func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp, pauses []int, ring int) {
 	f := &fuzzReader{b: data}
 	nodes = []int{4, 8, 16}[f.pick(3)]
 	ranks := nodes
@@ -133,13 +148,16 @@ func decodeProgram(data []byte) (nodes int, coll map[string]string, ops []fuzzOp
 	for i := 1 + f.pick(3); i > 0; i-- {
 		pauses = append(pauses, 1+f.pick(255))
 	}
-	return nodes, coll, ops, pauses
+	if f.pick(256) == ringMarker {
+		ring = f.pick(numRingStyles)
+	}
+	return nodes, coll, ops, pauses, ring
 }
 
 // fuzzProgram returns the rank body of a decoded program. Payload
 // results land in vals[rank], one slot per rank, so ranks on
 // concurrent shard kernels never share a word.
-func fuzzProgram(ops []fuzzOp, vals []int) func(*Rank) {
+func fuzzProgram(ops []fuzzOp, ring int, vals []int) func(*Rank) {
 	sum := func(a, b interface{}) interface{} { return a.(int) + b.(int) }
 	return func(r *Rank) {
 		me, p := r.ID(), r.Size()
@@ -159,10 +177,7 @@ func fuzzProgram(ops []fuzzOp, vals []int) func(*Rank) {
 					vals[me] = vals[me]*31 + r.Recv(AnySource, i)
 				}
 			case fzIsendRing:
-				dst, src := (me+o.root)%p, (me-o.root+p)%p
-				rq := r.Irecv(src, i)
-				sq := r.Isend(dst, o.bytes, i)
-				r.Waitall(rq, sq)
+				runFuzzRing(r, o, ring, i, vals)
 			case fzCollective:
 				runFuzzColl(w, r, o, i)
 			case fzSplit:
@@ -196,6 +211,40 @@ func fuzzProgram(ops []fuzzOp, vals []int) func(*Rank) {
 				r.Compute(o.flops*float64(1+me%3), 0, machine.ClassDGEMM)
 			}
 		}
+	}
+}
+
+// runFuzzRing runs one ring phase, each rank sending to the rank o.root
+// places on and receiving from the one as many places back.
+func runFuzzRing(r *Rank, o fuzzOp, ring, i int, vals []int) {
+	me, p := r.ID(), r.Size()
+	dst, src := (me+o.root)%p, (me-o.root+p)%p
+	switch ring {
+	case ringIsend:
+		rq := r.Irecv(src, i)
+		sq := r.Isend(dst, o.bytes, i)
+		r.Waitall(rq, sq)
+	case ringPersistent:
+		ch := []*PersistentRequest{r.RecvInit(src, i), r.SendInit(dst, o.bytes, i)}
+		for k := 0; k < 2; k++ {
+			StartAll(ch...)
+			WaitAllPersistent(ch...)
+		}
+	default:
+		// The ring splits into gcd(stride, p) cycles, one per residue
+		// class; the class's lowest rank starts its token and the others
+		// pass it on, adding their rank.
+		g := o.root
+		for q := p; q != 0; g, q = q, g%q {
+		}
+		if me < g {
+			r.SendPayload(dst, o.bytes, i, me)
+			_, v := r.RecvPayload(src, i)
+			vals[me] = vals[me]*31 + v.(int)
+			return
+		}
+		_, v := r.RecvPayload(src, i)
+		r.SendPayload(dst, o.bytes, i, v.(int)+me)
 	}
 }
 
@@ -240,14 +289,14 @@ type modeRun struct {
 // serial kernel) with a trace buffer and an obs recorder attached:
 // straight (Execute) without pauses, otherwise stepwise, pausing at
 // each of the given times (StepTo) before it finishes.
-func runMode(t *testing.T, nodes int, coll map[string]string, ops []fuzzOp, shards int, pauses []sim.Time) modeRun {
+func runMode(t *testing.T, nodes int, coll map[string]string, ops []fuzzOp, ring, shards int, pauses []sim.Time) modeRun {
 	cfg := Config{Machine: machine.Get(machine.BGP), Nodes: nodes, Mode: machine.SMP,
 		Fidelity: network.Analytic, Coll: coll, Shards: shards}
 	tb := trace.NewBuffer(0)
 	rec := obs.NewRecorder()
 	cfg.Trace, cfg.Probe = tb, rec
 	vals := make([]int, nodes)
-	prog := fuzzProgram(ops, vals)
+	prog := fuzzProgram(ops, ring, vals)
 	var res *Result
 	var err error
 	if pauses == nil {
@@ -281,6 +330,19 @@ func runMode(t *testing.T, nodes int, coll map[string]string, ops []fuzzOp, shar
 	return m
 }
 
+// same reports whether two runs of one mode agree byte for byte.
+func (m modeRun) same(o modeRun) bool {
+	return m.result == o.result && m.ties == o.ties && m.shards == o.shards &&
+		bytes.Equal(m.dump, o.dump) && m.profile == o.profile
+}
+
+// runNoReuse is runMode straight, with message-record reuse off.
+func runNoReuse(t *testing.T, nodes int, coll map[string]string, ops []fuzzOp, ring, shards int) modeRun {
+	exchangeNoReuse = true
+	defer func() { exchangeNoReuse = false }()
+	return runMode(t, nodes, coll, ops, ring, shards, nil)
+}
+
 // sortedLines returns the lines of a dump in sorted order.
 func sortedLines(b []byte) []byte {
 	lines := bytes.SplitAfter(b, []byte("\n"))
@@ -292,8 +354,9 @@ func sortedLines(b []byte) []byte {
 // the input into a deadlock-free random program on the analytic
 // network, with every collective forced onto a fuzz-chosen software
 // algorithm, that mixes permutation exchanges, AnySource receives,
-// Isend/Irecv rings, rendezvous-size messages, world collectives,
-// Split sub-communicator collectives and payload collectives. It runs
+// rings (Isend/Irecv, persistent channels or a blocking token pass
+// with payloads), rendezvous-size messages, world collectives, Split
+// sub-communicator collectives and payload collectives. It runs
 // the program at shards 1, 2 and 4 and requires the same Result, the
 // same payload outcomes, the same -events dump bytes and the same obs
 // profile from each.
@@ -301,6 +364,11 @@ func sortedLines(b []byte) []byte {
 // Every mode, the serial kernel included, also runs stepwise: paused
 // at the input's 1-3 pause points (StepTo) and then finished, a run
 // must equal the straight run of its mode byte for byte.
+//
+// Every mode also runs with message-record reuse off
+// (exchangeNoReuse) and must equal its run with reuse on byte for
+// byte: that is the use-after-release guard, since a record released
+// while still in use changes the run only when it is reused.
 //
 // The serial kernel breaks same-timestamp ties by creation order and
 // the sharded kernels by canonical key (ROADMAP, "One kernel tie
@@ -316,13 +384,24 @@ func FuzzRunModes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 9, 0, 3, 0, 1, 1, 3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 3, 1, 2, 1, 0, 2, 1, 0, 1, 2, 9, 1, 4, 3, 2, 5, 3, 4, 1, 2, 4, 2, 5, 5, 3, 0, 7, 1})
+	// Persistent rings (8 nodes): a rendezvous ring of stride 3, an
+	// exchange, a 64 KiB ring of stride 1 and an allreduce; one pause.
+	f.Add([]byte{1, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 3,
+		fzIsendRing, 3, 2, fzExchange, 1, 5, 4, 3, 2, 1, 0, 1,
+		fzIsendRing, 5, 0, fzCollective, 2, 2, 0,
+		0, 64, ringMarker, ringPersistent})
+	// Token rings (16 nodes): four cycles of stride 4, one cycle of
+	// stride 5, then AnySource receives; two pauses.
+	f.Add([]byte{2, 2, 0, 1, 4, 3, 1, 0, 2, 1, 3, 2,
+		fzIsendRing, 1, 3, fzIsendRing, 4, 4, fzAnySource, 2, 5,
+		1, 40, 200, ringMarker, ringToken})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		nodes, coll, ops, fracs := decodeProgram(data)
+		nodes, coll, ops, fracs, ring := decodeProgram(data)
 		wild := false
 		for _, o := range ops {
 			wild = wild || o.wild()
 		}
-		want := runMode(t, nodes, coll, ops, 1, nil)
+		want := runMode(t, nodes, coll, ops, ring, 1, nil)
 		scale := sim.Time(want.elapsed)
 		if scale == 0 {
 			scale = sim.Time(sim.Microsecond)
@@ -334,13 +413,16 @@ func FuzzRunModes(f *testing.F) {
 		for _, shards := range []int{1, 2, 4, 0} {
 			got := want
 			if shards != 1 {
-				got = runMode(t, nodes, coll, ops, shards, nil)
+				got = runMode(t, nodes, coll, ops, ring, shards, nil)
 			}
-			paused := runMode(t, nodes, coll, ops, shards, pauses)
-			if paused.result != got.result || paused.ties != got.ties || paused.shards != got.shards ||
-				!bytes.Equal(paused.dump, got.dump) || paused.profile != got.profile {
+			paused := runMode(t, nodes, coll, ops, ring, shards, pauses)
+			if !paused.same(got) {
 				t.Fatalf("shards=%d: paused at %v, the run differs from the straight run\n got %s %s on %d loops\nwant %s %s on %d loops",
 					shards, pauses, paused.result, paused.ties, paused.shards, got.result, got.ties, got.shards)
+			}
+			if fresh := runNoReuse(t, nodes, coll, ops, ring, shards); !fresh.same(got) {
+				t.Fatalf("shards=%d: with record reuse off, the run differs\n got %s %s on %d loops\nwant %s %s on %d loops",
+					shards, fresh.result, fresh.ties, fresh.shards, got.result, got.ties, got.shards)
 			}
 			if shards == 1 || (shards == 0 && wild) {
 				continue

@@ -101,6 +101,9 @@ type shard struct {
 	// (Comm.uniformCall).
 	lastCall *gateCall
 
+	// xp is the shard kernel's free list of message records (exchange).
+	xp xpool
+
 	// blockedGates counts this shard's ranks blocked in collective
 	// gates the coordinator has not yet completed. While positive the
 	// shard sits out windows: its remaining ranks must not advance past

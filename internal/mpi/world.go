@@ -173,6 +173,10 @@ type World struct {
 	// collective (Comm.uniformCall); sharded ranks use their shard's.
 	lastCall *gateCall
 
+	// xp is the serial kernel's free list of message records (exchange);
+	// sharded ranks use their shard's.
+	xp xpool
+
 	// program is the rank body of the run and finish each rank's
 	// finish time, set when the ranks are spawned (spawnRanks).
 	program func(*Rank)

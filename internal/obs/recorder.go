@@ -374,9 +374,6 @@ func (rec *Recorder) RankDone(rank int, t sim.Time) {
 	rs.doneOK = true
 }
 
-// NumRanks returns the number of ranks observed.
-func (rec *Recorder) NumRanks() int { return len(rec.ranks) }
-
 // Segments returns one rank's timeline segments in time order (nil for
 // an unobserved rank). The slice is the recorder's own; callers must
 // not mutate it.
@@ -394,9 +391,6 @@ func (rec *Recorder) CollSpans(rank int) []CollSpan {
 	}
 	return nil
 }
-
-// Extent returns the latest timestamp the recorder observed.
-func (rec *Recorder) Extent() sim.Time { return rec.lastT }
 
 // Observed reports whether the recorder saw any probe event at all. A
 // run that aborts before its first event (a kill at t=0, a config that

@@ -67,10 +67,6 @@ func (p *Proc) NextStamp() uint64 {
 // or WakeAt, never by calling Fire.
 func (p *Proc) Fire() { p.k.runProc(p) }
 
-// SetTag labels the process for probe callbacks; the MPI layer uses
-// the rank id. Untagged processes report -1.
-func (p *Proc) SetTag(tag int) { p.tag = tag }
-
 // Spawn creates a process executing fn, starting at the current
 // virtual time. The name is used in deadlock diagnostics.
 //
@@ -97,8 +93,7 @@ func (k *Kernel) SpawnTagged(name string, tag int, fn func(p *Proc)) *Proc {
 // SpawnNumbered is SpawnTagged for a process named prefix followed by
 // its tag in decimal, such as "rank 12". The name is rendered only when
 // something asks for it (Name, a deadlock or panic report), so a model
-// that spawns one process per rank builds no string per rank. The
-// name follows the tag if SetTag changes it.
+// that spawns one process per rank builds no string per rank.
 func (k *Kernel) SpawnNumbered(prefix string, tag int, fn func(p *Proc)) *Proc {
 	p := k.SpawnTagged(prefix, tag, fn)
 	p.numbered = true

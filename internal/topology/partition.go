@@ -186,26 +186,6 @@ func (p *Partition) ExternalRouteShare() float64 {
 	return float64(external) / float64(total)
 }
 
-// MeanPairHops returns the mean pairwise hop distance between member
-// nodes on the parent torus (strided sampling for large partitions).
-func (p *Partition) MeanPairHops() float64 {
-	stride := sampleStride(len(p.Nodes))
-	total, count := 0, 0
-	for i := 0; i < len(p.Nodes); i += stride {
-		for j := 0; j < len(p.Nodes); j += stride {
-			if i == j {
-				continue
-			}
-			total += p.Parent.Hops(p.Nodes[i], p.Nodes[j])
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(total) / float64(count)
-}
-
 // LinkShare returns the effective link-bandwidth factor the job
 // should simulate with, in (0, 1]: 1 for isolated partitions, lower
 // when routes leave the partition. The model assumes each external hop

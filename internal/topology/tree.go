@@ -40,11 +40,6 @@ func (t *Tree) Interior(i int) bool {
 	return i >= 0 && i < t.Nodes && i*t.Arity+1 < t.Nodes
 }
 
-// Leaf reports whether tree node i is a leaf (in range and childless).
-func (t *Tree) Leaf(i int) bool {
-	return i >= 0 && i < t.Nodes && !t.Interior(i)
-}
-
 // Recoverable reports whether the collective tree survives the loss of
 // the given nodes: the hardware can reprogram its class routes around
 // dead leaves (they simply stop contributing), but a dead interior

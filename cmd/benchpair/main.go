@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	benchpair [-ledger BENCH_e2e.json] [-benchmark BENCHMARK.json] [-change 46a2c22] [-last 3]
+//	benchpair [-ledger BENCH_e2e.json] [-benchmark BENCHMARK.json] [-change 46a2c22]
 //
 // A batch is a maximal run of paired rows of one workload whose parent
 // and change commits stay the same and whose pair numbers do not
@@ -295,7 +295,6 @@ func main() {
 	ledger := flag.String("ledger", "BENCH_e2e.json", "end-to-end ledger, one JSON object per line")
 	bench := flag.String("benchmark", "BENCHMARK.json", "benchmark declaration naming the end-to-end metrics")
 	change := flag.String("change", "", "report only batches whose change commit starts with this")
-	last := flag.Int("last", 0, "report only the last N batches (0 = all)")
 	flag.Parse()
 	metrics, err := readMetrics(*bench)
 	if err != nil {
@@ -313,16 +312,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(2)
 	}
-	var keep []*batch
 	for _, b := range batches {
 		if strings.HasPrefix(b.commits[1], *change) {
-			keep = append(keep, b)
+			report(os.Stdout, b, metrics)
 		}
-	}
-	if *last > 0 && len(keep) > *last {
-		keep = keep[len(keep)-*last:]
-	}
-	for _, b := range keep {
-		report(os.Stdout, b, metrics)
 	}
 }

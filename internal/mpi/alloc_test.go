@@ -34,9 +34,9 @@ func perOp(t *testing.T, cfg Config, lo, hi int, op func(r *Rank)) float64 {
 }
 
 // TestCollectiveAllocsPerMessage guards the software collectives'
-// recycled message records: a round's send and receive share one
-// exchange record from the kernel's free list, the matching key is a
-// packed integer, and the message is its own event handler. A 64-rank
+// recycled message records: a round's message and receive request come
+// from the kernel's free lists, the matching key is a packed integer,
+// and the message is its own event handler. A 64-rank
 // pairwise alltoall sends 64×63 messages; once the list is warm, a
 // repeat makes at most one object per rank, where a record per
 // message would show as thousands.
@@ -59,20 +59,51 @@ func TestCollectiveAllocsPerMessage(t *testing.T) {
 }
 
 // TestSendrecvNoAllocsWarm guards the point-to-point path: once the
-// free list holds the two ranks' records, a Sendrecv ping-pong
-// allocates nothing. A stray allocation of the runtime's own during
-// the window reads as a few hundredths of an object per send; a record
-// that is not recycled reads as one.
+// free lists hold the two ranks' records, a Sendrecv ping-pong
+// allocates nothing. The exact check counts the records the run made
+// on a miss: the count must not grow with the repetitions, and all of
+// them must be back on the lists when the run ends, so even one record
+// in many that is never given back fails it. It reads 5, a receive
+// request per rank and three messages: a rank may start its next send
+// before its peer has given back the last message. The allocation
+// count is a second, looser signal: a stray allocation of the
+// runtime's own during the window reads as a few hundredths of an
+// object per send; a record that is not recycled reads as one.
 func TestSendrecvNoAllocsWarm(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
 	for _, bytes := range []int{8, 64 << 10} { // eager and rendezvous
 		cfg := bgpConfig(1, machine.DUAL)
-		got := perOp(t, cfg, 10, 40, func(r *Rank) {
+		op := func(r *Rank) {
 			peer := 1 - r.ID()
 			r.Sendrecv(peer, bytes, 0, peer, 0)
-		}) / 2 // two sends per repetition
+		}
+		var made [2]int
+		for i, reps := range []int{10, 40} {
+			run, err := Begin(cfg, func(r *Rank) {
+				for j := 0; j < reps; j++ {
+					op(r)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			var free int
+			made[i], free = recordCounts(run)
+			if free != made[i] {
+				t.Errorf("%d B Sendrecv, %d repetitions: %d records made, %d given back", bytes, reps, made[i], free)
+			}
+		}
+		t.Logf("%d B Sendrecv: %d records made in 10 repetitions, %d in 40", bytes, made[0], made[1])
+		if made[0] != made[1] || made[1] > 6 {
+			t.Errorf("%d B Sendrecv: %d records made in 10 repetitions and %d in 40, want the same, at most three per rank",
+				bytes, made[0], made[1])
+		}
+		if raceEnabled {
+			continue // the race detector allocates on its own
+		}
+		got := perOp(t, cfg, 10, 40, op) / 2 // two sends per repetition
 		t.Logf("%d B Sendrecv: %.2f objects per send", bytes, got)
 		if got >= 0.1 {
 			t.Errorf("%d B Sendrecv allocated %.2f objects per send, want 0", bytes, got)
@@ -80,32 +111,33 @@ func TestSendrecvNoAllocsWarm(t *testing.T) {
 	}
 }
 
-// freeRecords returns the length of every free list of a finished run.
-func freeRecords(run *Running) int {
-	n := 0
-	lists := []*xpool{&run.w.xp}
+// recordCounts returns the message records, messages and receive
+// requests, that a finished run made on a miss and the number on its
+// free lists.
+func recordCounts(run *Running) (made, free int) {
+	lists := []*records{&run.w.recs}
 	for _, sh := range run.w.shards {
-		lists = append(lists, &sh.xp)
+		lists = append(lists, &sh.recs)
 	}
 	for _, p := range lists {
-		for x := p.free; x != nil; x = x.next {
-			n++
-		}
+		made += p.made
+		free += len(p.msgs) + len(p.recvs)
 	}
-	return n
+	return made, free
 }
 
-// TestExchangeFreeListBounded runs the shapes of the contention sweep
+// TestRecordFreeListBounded runs the shapes of the contention sweep
 // — pairwise alltoall, Rabenseifner allreduce, segmented bcast, linear
 // gather, Sendrecv and persistent HALO-style rings, a Sendrecv to self
 // and blocking receives — on the serial kernel and on one shard
-// kernel, and requires the free list to stay at a few records per
-// rank. With one kernel every record is back on the list when the run
-// ends, so its length then is every record the run allocated, and its
-// high-water mark. The segmented bcast holds the most, about 10 per
-// rank over the contention model: its 128 eager segments run ahead of
-// the tree, each holding a record until its receiver reads it.
-func TestExchangeFreeListBounded(t *testing.T) {
+// kernel, and requires the run to make a few records (messages and
+// receive requests) per rank, and every one of them to be back on a
+// list when the run ends: with one kernel, nothing these programs send
+// may leak. The
+// segmented bcast holds the most, about 10 per rank over the
+// contention model: its 128 eager segments run ahead of the tree, each
+// holding a message until its receiver reads it.
+func TestRecordFreeListBounded(t *testing.T) {
 	const ranks, perRank = 256, 16
 	xt4 := Config{Machine: machine.Get(machine.XT4QC), Nodes: ranks / 4, Mode: machine.VN, Fidelity: network.Contention}
 	ring := func(r *Rank, words int) {
@@ -159,10 +191,13 @@ func TestExchangeFreeListBounded(t *testing.T) {
 			if _, err := run.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			n := freeRecords(run)
-			t.Logf("%s, shards %d: %d records for %d ranks", c.name, shards, n, ranks)
-			if n > perRank*ranks {
-				t.Errorf("%s, shards %d: %d records for %d ranks, want at most %d per rank", c.name, shards, n, ranks, perRank)
+			made, free := recordCounts(run)
+			t.Logf("%s, shards %d: %d records for %d ranks", c.name, shards, made, ranks)
+			if made > perRank*ranks {
+				t.Errorf("%s, shards %d: %d records for %d ranks, want at most %d per rank", c.name, shards, made, ranks, perRank)
+			}
+			if free != made {
+				t.Errorf("%s, shards %d: %d records made, %d given back", c.name, shards, made, free)
 			}
 		}
 	}

@@ -10,17 +10,18 @@ import (
 // data itself; for rendezvous sends it is the ready-to-send header and
 // the data transfer starts when the receiver matches it. The message
 // embeds the sender's request and is its own event handler (Fire).
-// Isend, Send and the payload sends allocate it in the send's entry
-// frame; Sendrecv, persistent sends and the software collectives'
-// rounds take it from a recycled exchange record. Nothing deeper
-// allocates (see "rank stack budget" in docs/PERFORMANCE.md).
+// Isend and the non-blocking payload sends allocate it in the send's
+// entry frame; the blocking sends, persistent sends and the software
+// collectives' rounds take it from the kernel's free list (records).
+// Nothing deeper allocates (see "rank stack budget" in
+// docs/PERFORMANCE.md).
 type message struct {
 	req     Request // the sender's request: sender, dst, tag, key, protocol
 	bytes   int
 	payload interface{}
-	sentAt  sim.Time  // send time, for probe match edges (probe runs only)
-	recv    *Request  // the matched receive, once a rendezvous header is matched
-	x       *exchange // the recycled record holding the message, which its receiver releases; nil if none
+	sentAt  sim.Time // send time, for probe match edges (probe runs only)
+	recv    *Request // the matched receive, once a rendezvous header is matched
+	refs    int32    // releases outstanding of a recycled message (records); 0 if it is not recycled
 }
 
 // Request is a handle for a non-blocking operation. Ranks and tags are
@@ -65,7 +66,11 @@ func (r *Rank) swOverhead() sim.Duration {
 // the send buffer is reusable: immediately after local processing for
 // eager messages, after the full transfer for rendezvous messages.
 func (r *Rank) Send(dst, bytes, tag int) {
-	r.waitNoOverhead(r.Isend(dst, bytes, tag))
+	m := r.takeMessage()
+	m.bytes = bytes
+	r.isend(m, dst, tag, 1)
+	r.waitNoOverhead(&m.req)
+	r.retire(m, nil)
 }
 
 // SendPayload is Send carrying an arbitrary value, used by tests and
@@ -75,7 +80,11 @@ func (r *Rank) SendPayload(dst, bytes, tag int, payload interface{}) {
 }
 
 func (r *Rank) sendPayload(dst, bytes, tag int, key collKey, payload interface{}) {
-	r.waitNoOverhead(r.isendPayload(dst, bytes, tag, key, payload))
+	m := r.takeMessage()
+	m.bytes, m.payload, m.req.key = bytes, payload, key
+	r.isend(m, dst, tag, 1)
+	r.waitNoOverhead(&m.req)
+	r.retire(m, nil)
 }
 
 // Isend starts a non-blocking send and returns its request. It
@@ -166,13 +175,12 @@ func (r *Rank) dispatch(m *message) {
 // mailFire queues a message's delivery for another shard's kernel. It
 // is kept out of line so its argument spill stays off the frames of
 // dispatch and rendezvous (rank stack budget, docs/PERFORMANCE.md).
-// The message's record, if any, is never recycled: the other kernel's
-// goroutine reaches the message (delivery, sendDone), so the receiver
-// does not release it and the owner's release alone never frees it.
+// The message is never recycled: the other kernel's goroutine reaches
+// it (delivery, sendDone), so neither party releases it.
 //
 //go:noinline
 func mailFire(r, dst *Rank, t sim.Time, stamp uint64, m *message) {
-	m.x = nil
+	m.refs = 0
 	r.sh.mail(xmail{t: t, src: r.id, stamp: stamp, dst: dst.sh, h: m})
 }
 
@@ -287,21 +295,21 @@ func logSent(r *Rank, m *message, stamp uint64) {
 // Recv blocks until a message matching (src, tag) arrives and returns
 // its size. Use AnySource and AnyTag as wildcards.
 func (r *Rank) Recv(src, tag int) int {
-	x := r.takeExchange(false)
-	r.post(&x.q, src, tag)
-	r.Wait(&x.q)
-	n := x.q.msg.bytes
-	r.retire(x)
+	q := r.takeRecv()
+	r.post(q, src, tag)
+	r.Wait(q)
+	n := q.msg.bytes
+	r.retire(nil, q)
 	return n
 }
 
 // RecvPayload is Recv returning the carried payload as well.
 func (r *Rank) RecvPayload(src, tag int) (int, interface{}) {
-	x := r.takeExchange(false)
-	r.post(&x.q, src, tag)
-	r.Wait(&x.q)
-	n, v := x.q.msg.bytes, x.q.msg.payload
-	r.retire(x)
+	q := r.takeRecv()
+	r.post(q, src, tag)
+	r.Wait(q)
+	n, v := q.msg.bytes, q.msg.payload
+	r.retire(nil, q)
 	return n, v
 }
 
@@ -492,115 +500,134 @@ func (r *Rank) Waitall(qs ...*Request) {
 	}
 }
 
-// exchange is a message record: an outgoing message, which embeds the
-// send's request, and a receive's request, in one allocation. The
-// blocking calls whose requests never reach user code — Sendrecv,
-// Recv, RecvPayload, persistent rounds and the software collectives'
-// sendColl, recvColl and sendrecvColl — take their record from the
-// free list of the rank's kernel (takeExchange) and give it back
-// (retire). Send and SendPayload allocate a bare message instead:
-// their receivers often post requests that are not recycled (a user
-// Irecv in the HALO irecvsend exchange, GatherPayload's root), so the
-// sender's record would never be either, and a 160 B record costs
-// more than the 96 B message.
+// records is a kernel's free lists of message records: messages, each
+// embedding its send's request, and receive requests. The serial
+// kernel's lists live on World, each shard kernel's on its shard, so
+// only one goroutine touches a list and it needs no lock. The blocking
+// calls, whose requests never reach user code — Send, Sendrecv, Recv,
+// the payload variants, persistent rounds and the software
+// collectives' sendColl, recvColl and sendrecvColl — take their
+// records here (takeMessage, takeRecv) and give them back (retire). A
+// miss allocates what the call uses and no more: a message for a send,
+// a request for a receive.
 //
-// The record's lifetime: it is released by its owner once the owner's
-// send wait and receive wait have returned, and by the receiver of its
-// message once that receive has returned and the receiver has read
-// the byte count or payload. Each party releases from its own process
-// context; the last release zeroes the record and pushes it on the
-// list. A record is never recycled when its message crosses kernels
-// (mailFire), when its message's receiver holds a request user code
-// can reach (Irecv), or when a rank unwinds before releasing (a kill,
-// a lost peer, Kernel.Release): the garbage collector frees it then,
-// so a missed release only costs an allocation, never an early reuse.
-type exchange struct {
-	m    message
-	q    Request
-	refs int32     // releases outstanding: the owner's, and the receiver's of m
-	next *exchange // free-list link
+// A record's lifetime: a receive request is released by its owner once
+// its wait has returned and it has read the byte count or payload. A
+// message is released by its sender once its send wait has returned,
+// and by its receiver once that receive has returned and been read;
+// each party releases from its own process context, and the last
+// release zeroes the message and pushes it on the list. A message is
+// never recycled when it crosses kernels (mailFire), when its receiver
+// holds a request user code can reach (Irecv, irecvColl), or when a
+// rank unwinds before releasing (a kill, a lost peer, Kernel.Release):
+// the garbage collector frees it then, so a missed release only costs
+// an allocation, never an early reuse.
+type records struct {
+	msgs  []*message
+	recvs []*Request
+	made  int // records allocated on a miss; with one kernel and nothing leaked, all of them are back on the lists when a run ends
 }
 
-// xpool is a kernel's free list of exchange records: the serial
-// kernel's lives on World, each shard kernel's on its shard, so only
-// one goroutine touches a list and it needs no lock.
-type xpool struct {
-	free *exchange
-}
-
-// exchangeNoReuse leaves released records to the garbage collector
+// recordNoReuse leaves released records to the garbage collector
 // instead of recycling them. It exists only for the use-after-release
 // guard in the tests: a run with reuse off must equal the same run
 // with reuse on byte for byte.
-var exchangeNoReuse = false
+var recordNoReuse = false
 
-// pool returns the free list of the rank's kernel.
-func (r *Rank) pool() *xpool {
+// records returns the free lists of the rank's kernel.
+func (r *Rank) records() *records {
 	if r.sh != nil {
-		return &r.sh.xp
+		return &r.sh.recs
 	}
-	return &r.w.xp
+	return &r.w.recs
 }
 
-// takeExchange returns a record owned by the rank, with its receive's
-// request ready to post. A record whose message will be sent also
-// awaits its receiver's release. Like retire, it stays out of line so
-// the pool operations stay off the send and receive frames (rank stack
-// budget, docs/PERFORMANCE.md).
+// takeMessage returns a message for the rank to send, awaiting its
+// sender's and its receiver's releases. Like takeRecv and retire, it
+// stays out of line so the list operations stay off the send and
+// receive frames (rank stack budget, docs/PERFORMANCE.md).
 //
 //go:noinline
-func (r *Rank) takeExchange(send bool) *exchange {
-	p := r.pool()
-	x := p.free
-	if x == nil {
-		x = new(exchange)
+func (r *Rank) takeMessage() *message {
+	p := r.records()
+	var m *message
+	if n := len(p.msgs); n > 0 {
+		m, p.msgs[n-1] = p.msgs[n-1], nil
+		p.msgs = p.msgs[:n-1]
 	} else {
-		p.free, x.next = x.next, nil
+		m = new(message)
+		p.made++
 	}
-	x.q.r, x.q.isRecv, x.refs = r, true, 1
-	if send {
-		x.m.x, x.refs = x, 2
-	}
-	return x
+	m.refs = 2
+	return m
 }
 
-// retire ends a blocking call's use of its record x, after the call's
-// waits have returned and it has read what it received: it releases
-// the record of the message its receive matched, when that record is
-// recycled, and then x.
+// takeRecv returns a receive request owned by the rank, ready to post.
 //
 //go:noinline
-func (r *Rank) retire(x *exchange) {
-	p := r.pool()
-	if m := x.q.msg; m != nil && m.x != nil {
-		p.release(m.x)
+func (r *Rank) takeRecv() *Request {
+	p := r.records()
+	var q *Request
+	if n := len(p.recvs); n > 0 {
+		q, p.recvs[n-1] = p.recvs[n-1], nil
+		p.recvs = p.recvs[:n-1]
+	} else {
+		q = new(Request)
+		p.made++
 	}
-	p.release(x)
+	q.r, q.isRecv = r, true
+	return q
 }
 
-// release drops one of x's outstanding releases; the last one zeroes x
-// and pushes it on the list.
-func (p *xpool) release(x *exchange) {
-	x.refs--
-	if x.refs != 0 || exchangeNoReuse {
+// retire ends a blocking call's use of its records, after the call's
+// waits have returned and it has read what it received: it releases
+// the message its receive q matched, its own message m, and q. Either
+// may be nil.
+//
+//go:noinline
+func (r *Rank) retire(m *message, q *Request) {
+	p := r.records()
+	if q != nil {
+		if q.msg != nil {
+			p.release(q.msg)
+		}
+		if !recordNoReuse {
+			*q = Request{}
+			p.recvs = append(p.recvs, q)
+		}
+	}
+	if m != nil {
+		p.release(m)
+	}
+}
+
+// release drops one of a recycled message's outstanding releases; the
+// last one zeroes it and pushes it on the list. A message that is not
+// recycled (refs 0) is left alone.
+func (p *records) release(m *message) {
+	if m.refs == 0 {
 		return
 	}
-	*x = exchange{}
-	x.next, p.free = p.free, x
+	m.refs--
+	if m.refs != 0 || recordNoReuse {
+		return
+	}
+	*m = message{}
+	p.msgs = append(p.msgs, m)
 }
 
 // Sendrecv performs a combined send and receive (the halo-exchange
-// staple) and returns the received byte count. The send and the
-// receive share one recycled record (exchange).
+// staple) and returns the received byte count. Its message and receive
+// request are recycled (records).
 func (r *Rank) Sendrecv(dst, sendBytes, sendTag, src, recvTag int) int {
-	x := r.takeExchange(true)
-	x.m.bytes = sendBytes
-	r.isend(&x.m, dst, sendTag, 1)
-	r.post(&x.q, src, recvTag)
-	r.Wait(&x.q)
-	r.waitNoOverhead(&x.m.req)
-	n := x.q.msg.bytes
-	r.retire(x)
+	m, q := r.takeMessage(), r.takeRecv()
+	m.bytes = sendBytes
+	r.isend(m, dst, sendTag, 1)
+	r.post(q, src, recvTag)
+	r.Wait(q)
+	r.waitNoOverhead(&m.req)
+	n := q.msg.bytes
+	r.retire(m, q)
 	return n
 }
 
@@ -627,27 +654,27 @@ func probeMatch(r *Rank, m *message) {
 // sendColl, recvColl and sendrecvColl are the collective-internal
 // variants, keyed so collective traffic can never match user receives.
 func (r *Rank) sendColl(dst, bytes int, key collKey) {
-	x := r.takeExchange(true)
-	x.m.bytes, x.m.req.key = bytes, key
-	r.isend(&x.m, dst, 0, 1)
-	r.waitNoOverhead(&x.m.req)
-	r.retire(x)
+	m := r.takeMessage()
+	m.bytes, m.req.key = bytes, key
+	r.isend(m, dst, 0, 1)
+	r.waitNoOverhead(&m.req)
+	r.retire(m, nil)
 }
 
 func (r *Rank) recvColl(src int, key collKey) {
-	x := r.takeExchange(false)
-	x.q.key = key
-	r.post(&x.q, src, AnyTag)
-	r.Wait(&x.q)
-	r.retire(x)
+	q := r.takeRecv()
+	q.key = key
+	r.post(q, src, AnyTag)
+	r.Wait(q)
+	r.retire(nil, q)
 }
 
 func (r *Rank) sendrecvColl(dst, bytes, src int, key collKey) {
-	x := r.takeExchange(true)
-	x.m.bytes, x.m.req.key, x.q.key = bytes, key, key
-	r.isend(&x.m, dst, 0, 1)
-	r.post(&x.q, src, AnyTag)
-	r.Wait(&x.q)
-	r.waitNoOverhead(&x.m.req)
-	r.retire(x)
+	m, q := r.takeMessage(), r.takeRecv()
+	m.bytes, m.req.key, q.key = bytes, key, key
+	r.isend(m, dst, 0, 1)
+	r.post(q, src, AnyTag)
+	r.Wait(q)
+	r.waitNoOverhead(&m.req)
+	r.retire(m, q)
 }

@@ -17,7 +17,10 @@ type PersistentRequest struct {
 	peer   int
 	bytes  int
 	tag    int
-	active *exchange // the active round's record
+	// The active round's records: a send's message or a receive's
+	// request, nil between rounds.
+	msg *message
+	req *Request
 }
 
 // persistentOverheadFrac is the fraction of the normal per-message
@@ -49,36 +52,36 @@ func (r *Rank) RecvInit(src, tag int) *PersistentRequest {
 // Start activates the request for one round. Starting an already
 // active request panics.
 func (p *PersistentRequest) Start() {
-	if p.active != nil {
+	if p.msg != nil || p.req != nil {
 		panic("mpi: persistent request started while active")
 	}
 	r := p.r
-	x := r.takeExchange(!p.isRecv)
-	p.active = x
 	if p.isRecv {
-		r.post(&x.q, p.peer, p.tag)
+		p.req = r.takeRecv()
+		r.post(p.req, p.peer, p.tag)
 		return
 	}
-	x.m.bytes = p.bytes
-	r.isend(&x.m, p.peer, p.tag, persistentOverheadFrac)
+	p.msg = r.takeMessage()
+	p.msg.bytes = p.bytes
+	r.isend(p.msg, p.peer, p.tag, persistentOverheadFrac)
 }
 
 // Wait completes the active round. Persistent receives pay the reduced
 // receive-side software cost.
 func (p *PersistentRequest) Wait() {
-	x := p.active
-	if x == nil {
+	m, q := p.msg, p.req
+	if m == nil && q == nil {
 		panic("mpi: persistent request waited while inactive")
 	}
 	r := p.r
-	if p.isRecv {
-		r.waitNoOverhead(&x.q)
+	if q != nil {
+		r.waitNoOverhead(q)
 		r.proc.Sleep(sim.Duration(float64(r.swOverhead()) * persistentOverheadFrac))
 	} else {
-		r.waitNoOverhead(&x.m.req)
+		r.waitNoOverhead(&m.req)
 	}
-	p.active = nil
-	r.retire(x)
+	p.msg, p.req = nil, nil
+	r.retire(m, q)
 }
 
 // StartAll starts every request.

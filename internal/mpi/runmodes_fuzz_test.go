@@ -338,8 +338,8 @@ func (m modeRun) same(o modeRun) bool {
 
 // runNoReuse is runMode straight, with message-record reuse off.
 func runNoReuse(t *testing.T, nodes int, coll map[string]string, ops []fuzzOp, ring, shards int) modeRun {
-	exchangeNoReuse = true
-	defer func() { exchangeNoReuse = false }()
+	recordNoReuse = true
+	defer func() { recordNoReuse = false }()
 	return runMode(t, nodes, coll, ops, ring, shards, nil)
 }
 
@@ -366,7 +366,7 @@ func sortedLines(b []byte) []byte {
 // must equal the straight run of its mode byte for byte.
 //
 // Every mode also runs with message-record reuse off
-// (exchangeNoReuse) and must equal its run with reuse on byte for
+// (recordNoReuse) and must equal its run with reuse on byte for
 // byte: that is the use-after-release guard, since a record released
 // while still in use changes the run only when it is reused.
 //

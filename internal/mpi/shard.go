@@ -101,8 +101,8 @@ type shard struct {
 	// (Comm.uniformCall).
 	lastCall *gateCall
 
-	// xp is the shard kernel's free list of message records (exchange).
-	xp xpool
+	// recs is the shard kernel's free lists of message records.
+	recs records
 
 	// blockedGates counts this shard's ranks blocked in collective
 	// gates the coordinator has not yet completed. While positive the

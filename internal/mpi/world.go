@@ -173,9 +173,9 @@ type World struct {
 	// collective (Comm.uniformCall); sharded ranks use their shard's.
 	lastCall *gateCall
 
-	// xp is the serial kernel's free list of message records (exchange);
+	// recs is the serial kernel's free lists of message records;
 	// sharded ranks use their shard's.
-	xp xpool
+	recs records
 
 	// program is the rank body of the run and finish each rank's
 	// finish time, set when the ranks are spawned (spawnRanks).

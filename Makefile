@@ -25,7 +25,7 @@ check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -p 1 -timeout 20m ./...
-	$(GO) test -run 'Fuzz' ./internal/sim/ ./internal/topology/ ./internal/mpi/ ./internal/fault/ ./internal/fault/conformance/ ./internal/alloc/ ./internal/facility/
+	$(GO) test -run 'Fuzz' ./internal/sim/ ./internal/topology/ ./internal/mpi/ ./internal/fault/ ./internal/fault/conformance/ ./internal/alloc/ ./internal/facility/ ./internal/obs/
 	$(MAKE) cover
 	@# Chaos smoke: the faults experiment (including the log=sender /
 	@# restart=ckpt replay table) must print byte-identical output at

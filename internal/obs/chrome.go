@@ -2,14 +2,18 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 
 	"bgpsim/internal/sim"
 )
+
+// eventRoom is the free buffer space WriteChromeTrace wants before it
+// appends an event: more than any event with short names takes, so an
+// event appends into the bufio.Writer's own buffer without growing it.
+const eventRoom = 512
 
 // WriteChromeTrace writes the recorded timelines as Chrome trace_event
 // JSON ("JSON object format"), loadable in chrome://tracing and
@@ -17,20 +21,30 @@ import (
 // segments are complete ("X") events, collective spans are nested "X"
 // events named after their algorithm, and fault activations are global
 // instant events. Timestamps are microseconds with picosecond
-// precision preserved in the fraction. Output is deterministic:
-// identical recordings serialize to identical bytes.
+// precision preserved in the fraction (appendUS). Output is
+// deterministic: identical recordings serialize to identical bytes.
+//
+// Each event is appended into the writer's free buffer and written
+// once, so the export allocates a constant amount however many events
+// it writes.
 func (rec *Recorder) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
 	}
 	first := true
-	emit := func(line string) {
+	// event returns the buffer to append the next event to, its
+	// separator already in place; bw.Write then writes it once.
+	event := func() []byte {
+		if bw.Available() < eventRoom {
+			bw.Flush()
+		}
+		b := bw.AvailableBuffer()
 		if !first {
-			bw.WriteString(",\n")
+			b = append(b, ",\n"...)
 		}
 		first = false
-		bw.WriteString(line)
+		return b
 	}
 
 	ids := make([]int, 0, len(rec.ranks))
@@ -40,7 +54,11 @@ func (rec *Recorder) WriteChromeTrace(w io.Writer) error {
 	sort.Ints(ids)
 
 	for _, id := range ids {
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"rank %d"}}`, id, id))
+		b := append(event(), `{"name":"thread_name","ph":"M","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, `,"args":{"name":"rank `...)
+		b = strconv.AppendInt(b, int64(id), 10)
+		bw.Write(append(b, `"}}`...))
 	}
 	for _, id := range ids {
 		rs := rec.ranks[id]
@@ -52,34 +70,47 @@ func (rec *Recorder) WriteChromeTrace(w io.Writer) error {
 			if exit < 0 {
 				exit = rec.lastT // never exited (aborted run)
 			}
-			emit(fmt.Sprintf(`{"name":%s,"cat":"collective","ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s,"args":{"key":%s}}`,
-				jsonString(cs.Algo), id, us(cs.Enter), usd(exit.Sub(cs.Enter)), jsonString(cs.Key)))
+			b := append(event(), `{"name":`...)
+			b = appendString(b, cs.Algo)
+			b = append(b, `,"cat":"collective","ph":"X","pid":0,"tid":`...)
+			b = appendSpan(b, id, cs.Enter, exit)
+			b = append(b, `,"args":{"key":`...)
+			b = appendString(b, cs.Key)
+			bw.Write(append(b, "}}"...))
 		}
 		for _, seg := range rs.segs {
-			switch seg.Kind {
-			case SegCompute:
-				emit(fmt.Sprintf(`{"name":"compute","cat":"compute","ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s}`,
-					id, us(seg.Start), usd(seg.End.Sub(seg.Start))))
-			default:
-				args := ""
+			b := append(event(), `{"name":"`...)
+			if seg.Kind == SegCompute {
+				b = append(b, `compute","cat":"compute","ph":"X","pid":0,"tid":`...)
+				b = appendSpan(b, id, seg.Start, seg.End)
+			} else {
+				b = append(b, seg.Kind.String()...)
+				b = append(b, `","cat":"wait","ph":"X","pid":0,"tid":`...)
+				b = appendSpan(b, id, seg.Start, seg.End)
 				if seg.Peer >= 0 {
-					args = fmt.Sprintf(`,"args":{"released_by":%d}`, seg.Peer)
+					b = append(b, `,"args":{"released_by":`...)
+					b = strconv.AppendInt(b, int64(seg.Peer), 10)
+					b = append(b, '}')
 				}
-				emit(fmt.Sprintf(`{"name":"%s","cat":"wait","ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s%s}`,
-					seg.Kind, id, us(seg.Start), usd(seg.End.Sub(seg.Start)), args))
 			}
+			bw.Write(append(b, '}'))
 		}
 	}
 	for _, f := range rec.faults {
-		emit(fmt.Sprintf(`{"name":%s,"cat":"fault","ph":"i","s":"g","pid":0,"tid":0,"ts":%s,"args":{"detail":%s}}`,
-			jsonString(f.Kind), us(f.T), jsonString(f.Detail)))
+		b := append(event(), `{"name":`...)
+		b = appendString(b, f.Kind)
+		b = append(b, `,"cat":"fault","ph":"i","s":"g","pid":0,"tid":0,"ts":`...)
+		b = appendUS(b, sim.Duration(f.T))
+		b = append(b, `,"args":{"detail":`...)
+		b = appendString(b, f.Detail)
+		bw.Write(append(b, "}}"...))
 	}
 	if !rec.Observed() {
 		// The run ended before any probe event fired. Emit one marker
 		// event so the empty timeline states so explicitly — a silent
 		// "traceEvents":[] reads as a lost artifact. Recordings with any
 		// content are unaffected.
-		emit(`{"name":"no events recorded","cat":"meta","ph":"i","s":"g","pid":0,"tid":0,"ts":0.000000,"args":{"detail":"the run produced no observable events before it ended"}}`)
+		bw.Write(append(event(), `{"name":"no events recorded","cat":"meta","ph":"i","s":"g","pid":0,"tid":0,"ts":0.000000,"args":{"detail":"the run produced no observable events before it ended"}}`...))
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {
 		return err
@@ -87,37 +118,84 @@ func (rec *Recorder) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// us formats a virtual time as Chrome microseconds (picoseconds are
-// the fractional digits).
-func us(t sim.Time) string { return usd(sim.Duration(t)) }
-
-// usd formats a duration as Chrome microseconds.
-func usd(d sim.Duration) string {
-	return strconv.FormatFloat(float64(d)/1e6, 'f', 6, 64)
+// appendSpan appends an "X" event's thread, start and duration fields.
+func appendSpan(b []byte, tid int, start, end sim.Time) []byte {
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = appendUS(b, sim.Duration(start))
+	b = append(b, `,"dur":`...)
+	return appendUS(b, end.Sub(start))
 }
 
-// jsonString quotes s as a JSON string.
-func jsonString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
+// exactUS bounds the durations appendUS prints from integers: below
+// 2^52 ps the float64 quotient d/1e6 lies within |d|/1e6 * 2^-53 <
+// 0.5e-6 of the exact one, so rounding it to six decimals gives the
+// exact quotient's digits.
+const exactUS = 1 << 52
+
+// appendUS appends a duration in picoseconds as Chrome microseconds
+// with six decimals (the picoseconds are the fraction), byte for byte
+// what strconv.FormatFloat(float64(d)/1e6, 'f', 6, 64) prints. Below
+// exactUS (about 75 simulated minutes) it prints the integer quotient
+// and remainder; at or above it, it formats the float, whose rounding
+// there can differ from the exact quotient.
+func appendUS(b []byte, d sim.Duration) []byte {
+	if d >= exactUS || d <= -exactUS {
+		return strconv.AppendFloat(b, float64(d)/1e6, 'f', 6, 64)
 	}
-	b.WriteByte('"')
-	return b.String()
+	if d < 0 {
+		b = append(b, '-')
+		d = -d
+	}
+	b = strconv.AppendInt(b, int64(d/1e6), 10)
+	frac := int64(d % 1e6)
+	var digits [7]byte
+	digits[0] = '.'
+	for i := 6; i > 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return append(b, digits[:]...)
+}
+
+// appendString appends s as a quoted JSON string: `"`, `\`, newline
+// and tab are escaped by name, other control bytes as \u00XX, and each
+// byte of invalid UTF-8 becomes U+FFFD. Runs of bytes that need no
+// escape are copied as they are.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = utf8.AppendRune(b, utf8.RuneError)
+			start = i + 1
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }

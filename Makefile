@@ -119,14 +119,33 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Re-run the kernel benchmarks and diff against the committed
-# BENCH_kernel.json: fails on a >10% ns/op regression, and the named
-# collective benchmarks must exist in both recordings.
+# Paired kernel gate. The parent is HEAD when the working tree differs
+# from it, else HEAD^. Its internal/sim test binary is built from `git
+# archive`, the change's from the working tree, both under the ignored
+# .bench_build/benchdiff and with -trimpath, so the same code builds the
+# same binary wherever its checkout lies. Five rounds run the kernel
+# benchmarks on both sides from one directory, alternating which side
+# runs first, and cmd/benchpair reads the rounds as pairs: it fails
+# when KernelAllreduce512, KernelBcast512 or KernelSharded/shards=1 is
+# missing from a round or its median paired ns/op ratio exceeds 1.10.
+# BENCH_kernel.json (make bench) stays the trajectory record.
 benchdiff:
-	$(GO) test -run '^$$' -bench BenchmarkKernel -benchmem -count=1 -json ./internal/sim/ > bench_fresh.json
-	$(GO) run ./cmd/benchdiff -old BENCH_kernel.json -new bench_fresh.json \
-		-max-regress 10 -require KernelAllreduce512,KernelBcast512,KernelSharded/shards=1
-	@rm -f bench_fresh.json
+	@set -e; d=$$(pwd)/.bench_build/benchdiff; \
+	if [ -n "$$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD^; fi; \
+	echo "benchdiff: parent $$(git rev-parse --short $$parent), change the working tree"; \
+	rm -rf $$d; mkdir -p $$d/parent; \
+	git archive $$parent | tar -x -C $$d/parent; \
+	(cd $$d/parent && $(GO) test -trimpath -c -o $$d/parent.test ./internal/sim/); \
+	$(GO) test -trimpath -c -o $$d/change.test ./internal/sim/; \
+	cd internal/sim && for r in 1 2 3 4 5; do \
+		if [ $$((r % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for s in $$order; do \
+			echo "benchdiff: round $$r, $$s"; \
+			$$d/$$s.test -test.run '^$$' -test.bench BenchmarkKernel -test.benchmem -test.count 1 > $$d/round$$r-$$s.txt; \
+		done; \
+	done; \
+	cd ../..; \
+	$(GO) run ./cmd/benchpair -kernel $$d
 
 # End-to-end ledger: run the repository benchmark (perfbench, see
 # BENCHMARK.json) on every workload at seeds 1-3, 30 s each, and append
@@ -187,4 +206,4 @@ cover:
 			exit bad }'
 
 clean:
-	rm -f test_output.txt bench_output.txt bench_fresh.json
+	rm -f test_output.txt bench_output.txt

@@ -13,9 +13,14 @@
 // a high mode when their values fall in two clusters, and compares the
 // runs of the upper mode.
 //
+// With -kernel it reads the rounds `make benchdiff` writes instead
+// (round<N>-parent.txt, round<N>-change.txt: `go test -bench` text) as
+// one batch per benchmark with the metric ns/op, and gates them.
+//
 // Usage:
 //
 //	benchpair [-ledger BENCH_e2e.json] [-benchmark BENCHMARK.json] [-change 46a2c22]
+//	benchpair -kernel .bench_build/benchdiff
 //
 // A batch is a maximal run of paired rows of one workload whose parent
 // and change commits stay the same and whose pair numbers do not
@@ -31,7 +36,11 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -42,10 +51,13 @@ type row struct {
 	Pair     int    `json:"pair"`
 	Side     string `json:"side"`
 	Result   struct {
-		Metrics map[string]struct {
-			Value float64 `json:"value"`
-		} `json:"metrics"`
+		Metrics map[string]value `json:"metrics"`
 	} `json:"result"`
+}
+
+// value is one metric of a ledger row.
+type value struct {
+	Value float64 `json:"value"`
 }
 
 // batch is one set of alternating runs of a workload: the parent and
@@ -56,48 +68,50 @@ type batch struct {
 	pairs    map[int][2]*row
 }
 
-// side indexes a pair's rows.
-func side(s string) (int, bool) {
-	switch s {
-	case "parent":
-		return 0, true
-	case "change":
-		return 1, true
-	}
-	return 0, false
+// sides indexes a pair's rows.
+var sides = map[string]int{"parent": 0, "change": 1}
+
+// batcher groups paired rows into batches, in the order their first
+// rows appear.
+type batcher struct {
+	out  []*batch
+	open map[string]*batch // the current batch of each workload
 }
 
-// readBatches groups the ledger's paired rows into batches, in the
-// order their first rows appear.
+// add files one row; a row without a pair number or side is skipped.
+func (bt *batcher) add(rw *row) {
+	s, ok := sides[rw.Side]
+	if !ok || rw.Pair == 0 {
+		return
+	}
+	b := bt.open[rw.Workload]
+	if b == nil || b.pairs[rw.Pair][s] != nil || (b.commits[s] != "" && b.commits[s] != rw.Commit) {
+		b = &batch{workload: rw.Workload, pairs: make(map[int][2]*row)}
+		bt.open[rw.Workload] = b
+		bt.out = append(bt.out, b)
+	}
+	b.commits[s] = rw.Commit
+	p := b.pairs[rw.Pair]
+	p[s] = rw
+	b.pairs[rw.Pair] = p
+}
+
+// readBatches groups the ledger's paired rows into batches.
 func readBatches(r io.Reader) ([]*batch, error) {
-	var out []*batch
-	open := make(map[string]*batch) // the current batch of each workload
+	bt := batcher{open: make(map[string]*batch)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for line := 1; sc.Scan(); line++ {
 		if strings.TrimSpace(sc.Text()) == "" {
 			continue
 		}
-		var rw row
-		if err := json.Unmarshal(sc.Bytes(), &rw); err != nil {
+		rw := new(row)
+		if err := json.Unmarshal(sc.Bytes(), rw); err != nil {
 			return nil, fmt.Errorf("ledger line %d: %v", line, err)
 		}
-		s, ok := side(rw.Side)
-		if !ok || rw.Pair == 0 {
-			continue
-		}
-		b := open[rw.Workload]
-		if b == nil || b.pairs[rw.Pair][s] != nil || (b.commits[s] != "" && b.commits[s] != rw.Commit) {
-			b = &batch{workload: rw.Workload, pairs: make(map[int][2]*row)}
-			open[rw.Workload] = b
-			out = append(out, b)
-		}
-		b.commits[s] = rw.Commit
-		p := b.pairs[rw.Pair]
-		p[s] = &rw
-		b.pairs[rw.Pair] = p
+		bt.add(rw)
 	}
-	return out, sc.Err()
+	return bt.out, sc.Err()
 }
 
 // metric is one end-to-end metric of BENCHMARK.json.
@@ -217,8 +231,9 @@ func modeSplit(vs []float64) (float64, bool) {
 	return (s[at-1] + s[at]) / 2, true
 }
 
-// report prints one batch.
-func report(w io.Writer, b *batch, metrics []metric) {
+// complete returns the sorted numbers of the batch's pairs that have
+// both a parent and a change row.
+func (b *batch) complete() []int {
 	nums := make([]int, 0, len(b.pairs))
 	for n, p := range b.pairs {
 		if p[0] != nil && p[1] != nil {
@@ -226,28 +241,41 @@ func report(w io.Writer, b *batch, metrics []metric) {
 		}
 	}
 	sort.Ints(nums)
+	return nums
+}
+
+// pairStats returns metric m's parent and change values over the
+// batch's complete pairs, the per-pair ratios change/parent, and how
+// many pairs the change won and tied. Pairs without the metric, or
+// with a zero parent value, are left out.
+func (b *batch) pairStats(m metric) (par, chg, ratio []float64, wins, ties int) {
+	for _, n := range b.complete() {
+		pv, pok := b.pairs[n][0].Result.Metrics[m.Name]
+		cv, cok := b.pairs[n][1].Result.Metrics[m.Name]
+		if !pok || !cok || pv.Value == 0 {
+			continue
+		}
+		par, chg = append(par, pv.Value), append(chg, cv.Value)
+		ratio = append(ratio, cv.Value/pv.Value)
+		switch {
+		case cv.Value == pv.Value:
+			ties++
+		case (cv.Value > pv.Value) == (m.Better == "higher"):
+			wins++
+		}
+	}
+	return par, chg, ratio, wins, ties
+}
+
+// report prints one batch.
+func report(w io.Writer, b *batch, metrics []metric) {
+	nums := b.complete()
 	fmt.Fprintf(w, "%s: %s -> %s, %d pairs\n", b.workload, b.commits[0], b.commits[1], len(nums))
 	if len(nums) == 0 {
 		return
 	}
 	for _, m := range metrics {
-		var par, chg, ratio []float64
-		wins, ties := 0, 0
-		for _, n := range nums {
-			pv, pok := b.pairs[n][0].Result.Metrics[m.Name]
-			cv, cok := b.pairs[n][1].Result.Metrics[m.Name]
-			if !pok || !cok || pv.Value == 0 {
-				continue
-			}
-			par, chg = append(par, pv.Value), append(chg, cv.Value)
-			ratio = append(ratio, cv.Value/pv.Value)
-			switch {
-			case cv.Value == pv.Value:
-				ties++
-			case (cv.Value > pv.Value) == (m.Better == "higher"):
-				wins++
-			}
-		}
+		par, chg, ratio, wins, ties := b.pairStats(m)
 		if len(ratio) == 0 {
 			continue
 		}
@@ -291,27 +319,120 @@ func medianText(xs []float64) string {
 	return fmt.Sprintf("%.4g", median(xs))
 }
 
+// The kernel gate: the benchmarks it holds, and the largest median
+// paired ns/op ratio change/parent it passes. The other kernel
+// benchmarks take under a microsecond per op, too little to gate on.
+var kernelRequired = []string{"KernelAllreduce512", "KernelBcast512", "KernelSharded/shards=1"}
+
+const kernelBound = 1.10
+
+// nsPerOp is the one metric of a kernel round.
+var nsPerOp = metric{Name: "ns/op", Better: "lower"}
+
+// benchLine matches a result line of `go test -bench` text output,
+// `BenchmarkName-8   50   123456 ns/op ...`, capturing the name
+// without its prefix and GOMAXPROCS suffix, and the ns/op.
+var benchLine = regexp.MustCompile(`(?m)^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
+
+// benchRows returns one row per result line of a kernel round's text
+// output: the benchmark as workload, the round as pair, and ns/op.
+func benchRows(text []byte, round int, side string) []*row {
+	var rows []*row
+	for _, m := range benchLine.FindAllSubmatch(text, -1) {
+		rw := &row{Commit: side, Workload: string(m[1]), Pair: round, Side: side}
+		ns, _ := strconv.ParseFloat(string(m[2]), 64) // benchLine admits only decimals
+		rw.Result.Metrics = map[string]value{nsPerOp.Name: {ns}}
+		rows = append(rows, rw)
+	}
+	return rows
+}
+
+// roundFile names one side's output of one kernel round.
+var roundFile = regexp.MustCompile(`^round(\d+)-(parent|change)\.txt$`)
+
+// readRounds reads the kernel rounds in dir as batches, one per
+// benchmark, and returns how many rounds there are.
+func readRounds(dir string) ([]*batch, int, error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	bt := batcher{open: make(map[string]*batch)}
+	rounds := make(map[int]bool)
+	for _, f := range files {
+		m := roundFile.FindStringSubmatch(f.Name())
+		if m == nil {
+			continue
+		}
+		text, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			return nil, 0, err
+		}
+		n, _ := strconv.Atoi(m[1])
+		rounds[n] = true
+		for _, rw := range benchRows(text, n, m[2]) {
+			bt.add(rw)
+		}
+	}
+	if len(rounds) == 0 {
+		return nil, 0, fmt.Errorf("%s: no round<N>-parent.txt or round<N>-change.txt files", dir)
+	}
+	return bt.out, len(rounds), nil
+}
+
+// gate prints a verdict on each required benchmark and reports whether
+// all pass: each must have both runs in every round and a median
+// paired ratio of at most kernelBound.
+func gate(w io.Writer, batches []*batch, rounds int) bool {
+	pass := true
+	for _, name := range kernelRequired {
+		var ratio []float64
+		if i := slices.IndexFunc(batches, func(b *batch) bool { return b.workload == name }); i >= 0 {
+			_, _, ratio, _, _ = batches[i].pairStats(nsPerOp)
+		}
+		verdict := "ok"
+		if len(ratio) < rounds || median(ratio) > kernelBound {
+			verdict, pass = "FAIL", false
+		}
+		fmt.Fprintf(w, "gate: %s: %d of %d rounds, median paired ratio %.3f (bound %.2f): %s\n",
+			name, len(ratio), rounds, median(ratio), kernelBound, verdict)
+	}
+	return pass
+}
+
+// check exits with status 2 on an error reading the input.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchpair:", err)
+		os.Exit(2)
+	}
+}
+
 func main() {
 	ledger := flag.String("ledger", "BENCH_e2e.json", "end-to-end ledger, one JSON object per line")
 	bench := flag.String("benchmark", "BENCHMARK.json", "benchmark declaration naming the end-to-end metrics")
 	change := flag.String("change", "", "report only batches whose change commit starts with this")
+	kernel := flag.String("kernel", "", "directory of kernel benchmark rounds (round<N>-parent.txt, round<N>-change.txt) "+
+		"to report and gate instead of the ledger")
 	flag.Parse()
+	if *kernel != "" {
+		batches, rounds, err := readRounds(*kernel)
+		check(err)
+		for _, b := range batches {
+			report(os.Stdout, b, []metric{nsPerOp})
+		}
+		if !gate(os.Stdout, batches, rounds) {
+			os.Exit(1)
+		}
+		return
+	}
 	metrics, err := readMetrics(*bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchpair:", err)
-		os.Exit(2)
-	}
+	check(err)
 	f, err := os.Open(*ledger)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchpair:", err)
-		os.Exit(2)
-	}
+	check(err)
 	defer f.Close()
 	batches, err := readBatches(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchpair:", err)
-		os.Exit(2)
-	}
+	check(err)
 	for _, b := range batches {
 		if strings.HasPrefix(b.commits[1], *change) {
 			report(os.Stdout, b, metrics)

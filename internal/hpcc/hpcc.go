@@ -54,25 +54,21 @@ type EPResults struct {
 // SingleAndEP runs the Table 2 tests for a machine at the given rank
 // count in VN mode on the serial kernel.
 func SingleAndEP(id machine.ID, ranks int) (*EPResults, error) {
-	return SingleAndEPSharded(id, ranks, 0)
+	return SingleAndEPFaultySharded(id, ranks, nil, 0)
 }
 
-// SingleAndEPSharded is SingleAndEP with an explicit kernel-shard
-// request for its simulated communication tests. They run at
+// SingleAndEPFaultySharded is SingleAndEP with a fault plan injected
+// into the simulated communication tests — in practice a
+// variability-only plan (Spec.Var), whose per-node bandwidth draws
+// move the ping-pong and random-ring numbers. A nil plan is the
+// historical healthy path, byte for byte.
+//
+// shards is the kernel-shard request for those tests. They run at
 // contention fidelity, which the sharded kernel rejects, so today any
 // request falls back to the serial kernel (output is identical either
 // way); the parameter keeps the job surface uniform with bgpsim/halo
 // and — being a parameter rather than package state — safe for
 // concurrent jobs with different shard requests.
-func SingleAndEPSharded(id machine.ID, ranks, shards int) (*EPResults, error) {
-	return SingleAndEPFaultySharded(id, ranks, nil, shards)
-}
-
-// SingleAndEPFaultySharded is SingleAndEPSharded with a fault plan
-// injected into the simulated communication tests — in practice a
-// variability-only plan (Spec.Var), whose per-node bandwidth draws
-// move the ping-pong and random-ring numbers. A nil plan is the
-// historical healthy path, byte for byte.
 func SingleAndEPFaultySharded(id machine.ID, ranks int, plan *fault.Plan, shards int) (*EPResults, error) {
 	m := machine.Get(id)
 	model := cpu.New(m, machine.VN)
@@ -365,7 +361,7 @@ type CollResults struct {
 // partition: link faults perturb the collectives, node kills abort the
 // run with *mpi.RankFailure — or, with recovery enabled, drop the dead
 // ranks and charge the rebuild to the timings. shards is the
-// kernel-shard request (see SingleAndEPSharded for why it is a
+// kernel-shard request (see SingleAndEPFaultySharded for why it is a
 // parameter and what it currently does).
 func CollBenchFaultySharded(id machine.ID, ranks int, coll map[string]string, plan *fault.Plan, pb obs.Probe, shards int) (*CollResults, *mpi.Result, error) {
 	m := machine.Get(id)

@@ -284,7 +284,8 @@ func (s Spec) Validate() error {
 	c := s.Canonical()
 	switch c.Kind {
 	case KindBench:
-		if err := c.validateCommon(); err != nil {
+		m, err := c.validateCommon()
+		if err != nil {
 			return err
 		}
 		if c.Ranks <= 0 {
@@ -298,6 +299,12 @@ func (s Spec) Validate() error {
 		if c.Bytes != nil && *c.Bytes < 0 {
 			return fmt.Errorf("jobspec: payload size %d must be >= 0", *c.Bytes)
 		}
+		if c.Bench == "pingpong" && c.Ranks < 2 {
+			return &LimitError{"ranks", fmt.Sprintf("pingpong needs at least 2 ranks, got %d", c.Ranks)}
+		}
+		if c.Bytes != nil && int64(*c.Bytes) > m.MemPerNode {
+			return overMemory("bytes", fmt.Sprintf("%d bytes", *c.Bytes), m)
+		}
 		if c.Events < 0 {
 			return fmt.Errorf("jobspec: events %d must be >= 0", c.Events)
 		}
@@ -306,14 +313,23 @@ func (s Spec) Validate() error {
 		}
 		return c.validateFaults(c.Ranks)
 	case KindHalo:
-		if err := c.validateCommon(); err != nil {
+		m, err := c.validateCommon()
+		if err != nil {
 			return err
 		}
 		if c.GridX <= 0 || c.GridY <= 0 {
 			return fmt.Errorf("jobspec: process grid %dx%d: dimensions must be positive", c.GridX, c.GridY)
 		}
+		// Each dimension first, so the product cannot wrap.
+		if c.GridX > mpi.MaxRanks || c.GridY > mpi.MaxRanks || c.GridX*c.GridY > mpi.MaxRanks {
+			return &LimitError{"grid_x/grid_y", fmt.Sprintf("process grid %dx%d exceeds the simulator's limit of %d ranks",
+				c.GridX, c.GridY, mpi.MaxRanks)}
+		}
 		if c.Words <= 0 {
 			return fmt.Errorf("jobspec: halo size %d words must be positive", c.Words)
+		}
+		if int64(c.Words) > m.MemPerNode/4 { // words*4 could wrap
+			return overMemory("words", fmt.Sprintf("%d 4-byte words", c.Words), m)
 		}
 		if c.Iterations <= 0 {
 			return fmt.Errorf("jobspec: iterations %d must be positive", c.Iterations)
@@ -382,23 +398,42 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// LimitError reports a spec that names a job beyond what the
+// simulator can run: a message larger than a node's memory, a process
+// grid past mpi.MaxRanks, or too few ranks for the benchmark. Virtual
+// times of such jobs would overflow or never end, so Validate refuses
+// them before they run.
+type LimitError struct {
+	Field  string // the JSON field at fault
+	Reason string
+}
+
+func (e *LimitError) Error() string { return "jobspec: " + e.Field + ": " + e.Reason }
+
+// overMemory reports a message, of size what, larger than the memory
+// of one of machine m's nodes.
+func overMemory(field, what string, m *machine.Machine) error {
+	return &LimitError{field, fmt.Sprintf("a message of %s exceeds the %d bytes of memory per %s node", what, m.MemPerNode, m.ID)}
+}
+
 // validateCommon checks the machine/mode/mapping/fidelity block shared
-// by bench and halo jobs.
-func (s Spec) validateCommon() error {
-	if _, err := machine.Lookup(machine.ID(s.Machine)); err != nil {
-		return err
+// by bench and halo jobs, and returns the job's machine.
+func (s Spec) validateCommon() (*machine.Machine, error) {
+	m, err := machine.Lookup(machine.ID(s.Machine))
+	if err != nil {
+		return nil, err
 	}
 	if _, err := parseMode(s.Mode); err != nil {
-		return err
+		return nil, err
 	}
 	if !topology.Mapping(s.Mapping).Valid() {
-		return fmt.Errorf("jobspec: invalid mapping %q (want a permutation of X, Y, Z, T)", s.Mapping)
+		return nil, fmt.Errorf("jobspec: invalid mapping %q (want a permutation of X, Y, Z, T)", s.Mapping)
 	}
 	if s.Shards < 0 {
-		return fmt.Errorf("jobspec: shard count %d must be >= 0", s.Shards)
+		return nil, fmt.Errorf("jobspec: shard count %d must be >= 0", s.Shards)
 	}
-	_, err := parseFidelity(s.Fidelity)
-	return err
+	_, err = parseFidelity(s.Fidelity)
+	return m, err
 }
 
 // validateColl re-parses the coll override map through the registry.

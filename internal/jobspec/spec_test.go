@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bgpsim/internal/machine"
 	"bgpsim/internal/mpi"
 	"bgpsim/internal/sim"
 )
@@ -111,9 +112,51 @@ func TestDecodeRejects(t *testing.T) {
 		`{"kind":"halo","var":"bogus"}`,             // bad variability grammar
 		`{"kind":"calib","machine":"BG/L"}`,         // machine without calibration targets
 	}
+	// Jobs past the simulator's limits must fail with a *LimitError.
+	// Run anyway, the first three would overflow virtual time and
+	// panic, the fourth would wrap its payload to 0 bytes, the grid's
+	// node count would wrap to 0 and the one-rank pingpong would
+	// deadlock.
+	limits := []string{
+		`{"kind":"bench","bench":"pingpong","ranks":2,"bytes":2305843009213693952}`,
+		`{"kind":"bench","bench":"alltoall","bytes":1000000000000000}`,
+		`{"kind":"halo","words":1000000000000000}`,
+		`{"kind":"halo","words":4611686018427387904}`,
+		`{"kind":"halo","grid_x":4294967296,"grid_y":4294967296}`,
+		`{"kind":"bench","bench":"pingpong","ranks":1}`,
+	}
 	for _, c := range cases {
 		if _, err := Decode([]byte(c)); err == nil {
 			t.Errorf("Decode(%s) accepted, want error", c)
+		}
+	}
+	for _, c := range limits {
+		var le *LimitError
+		if _, err := Decode([]byte(c)); !errors.As(err, &le) {
+			t.Errorf("Decode(%s) = %v, want a *LimitError", c, err)
+		}
+	}
+}
+
+// TestLimitBoundaries: a payload of exactly a node's memory and a grid
+// of exactly mpi.MaxRanks ranks validate; one unit more does not.
+func TestLimitBoundaries(t *testing.T) {
+	mem := int(machine.Get(machine.BGP).MemPerNode)
+	over := mem + 1
+	for _, c := range []struct {
+		spec Spec
+		ok   bool
+	}{
+		{Spec{Kind: KindBench, Bench: "pingpong", Ranks: 2, Bytes: &mem}, true},
+		{Spec{Kind: KindBench, Bench: "pingpong", Ranks: 2, Bytes: &over}, false},
+		{Spec{Kind: KindHalo, Words: mem / 4}, true},
+		{Spec{Kind: KindHalo, Words: mem/4 + 1}, false},
+		{Spec{Kind: KindHalo, GridX: mpi.MaxRanks, GridY: 1}, true},
+		{Spec{Kind: KindHalo, GridX: mpi.MaxRanks + 1, GridY: 1}, false},
+		{Spec{Kind: KindHalo, GridX: 4096, GridY: 4096}, false},
+	} {
+		if err := c.spec.Validate(); (err == nil) != c.ok {
+			t.Errorf("Validate(%+v) = %v, want ok %v", c.spec, err, c.ok)
 		}
 	}
 }

@@ -72,6 +72,11 @@ const (
 	maxRanks      = 1 << keyRoundBits
 )
 
+// MaxRanks is the largest world NewWorld accepts: requests store ranks
+// as int32 and collective keys pack round indices, which the rank count
+// bounds, into 23 bits.
+const MaxRanks = maxRanks - 1
+
 // Key kinds beyond the collective ops (opID), for the gates and
 // payload collectives that draw a sequence number too.
 const (

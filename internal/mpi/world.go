@@ -270,10 +270,8 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: %d ranks exceed capacity %d (%d nodes x %d/node)",
 			nranks, capacity, cfg.Nodes, rpn)
 	}
-	if nranks >= maxRanks {
-		// Requests store ranks as int32 and collective keys pack round
-		// indices (bounded by the rank count) into 23 bits.
-		return nil, fmt.Errorf("mpi: %d ranks exceed the simulator's limit of %d", nranks, maxRanks-1)
+	if nranks > MaxRanks {
+		return nil, fmt.Errorf("mpi: %d ranks exceed the simulator's limit of %d", nranks, MaxRanks)
 	}
 
 	w := &World{

@@ -138,10 +138,16 @@ func TestSubmitCacheReplay(t *testing.T) {
 
 func TestSubmitRejectsBadSpec(t *testing.T) {
 	_, base := newTestServer(t, Config{})
-	for _, body := range []string{`not json`, `{"kind":"warp"}`, `{"kind":"bench","bogus":1}`} {
+	for _, body := range []string{`not json`, `{"kind":"warp"}`, `{"kind":"bench","bogus":1}`,
+		// Run, its virtual time overflows, and the panic would take
+		// the whole server down.
+		`{"kind":"bench","bench":"pingpong","ranks":2,"bytes":2305843009213693952}`} {
 		if _, _, code := postJob(t, base, body); code != http.StatusBadRequest {
 			t.Errorf("POST %q: status %d, want 400", body, code)
 		}
+	}
+	if b, _, code := postJob(t, base, benchJob); code != http.StatusOK {
+		t.Fatalf("valid job after the rejections: status %d: %s", code, b)
 	}
 }
 
